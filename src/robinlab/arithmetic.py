@@ -192,18 +192,18 @@ class SigmaTable:
 def sigma_sieve(limit: int) -> SigmaTable:
     """Exact sigma table via the divisor-pair sweep d <= sqrt(limit).
 
-    Costs about 8 bytes per entry plus transient index arrays; the budget
-    guard checks the table itself.
+    Costs about 8 bytes per entry plus one transient of at most 4 bytes per
+    entry; the budget guard checks the table itself.
     """
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
     require_capacity(8 * (limit + 1), f"divisor-sum table up to {limit}")
-    sigma = np.zeros(limit + 1, dtype=np.int64)
-    sigma[1:] = np.arange(2, limit + 2, dtype=np.int64)  # pairs (1, n)
+    sigma = np.arange(1, limit + 2, dtype=np.int64)  # pairs (1, n)
+    sigma[0] = 0
     root = math.isqrt(limit)
     for d in range(2, root + 1):
-        ks = np.arange(d, limit // d + 1, dtype=np.int64)
-        sigma[d * ks] += ks + d
+        # pairs (d, k) for d <= k <= limit // d land on n = d*k
+        sigma[d * d :: d] += np.arange(2 * d, limit // d + d + 1, dtype=np.int64)
     # squares counted their root twice in the pair sweep above
     squares = np.arange(1, root + 1, dtype=np.int64)
     sigma[squares * squares] -= squares

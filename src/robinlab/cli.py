@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import logging
 import sys
 from dataclasses import dataclass
 from typing import Sequence
@@ -111,6 +112,26 @@ class RowSink:
 
 def _info(msg: str) -> None:
     print(f"# {msg}", file=sys.stderr)
+
+
+class _InfoHandler(logging.Handler):
+    """Sends robinlab log records to the `#`-prefixed stderr channel.
+
+    Resolves sys.stderr per record, so it follows redirection after setup.
+    """
+
+    def emit(self, record: logging.LogRecord) -> None:
+        try:
+            for line in self.format(record).splitlines():
+                _info(line)
+        except Exception:
+            self.handleError(record)
+
+
+def _route_logging() -> None:
+    logger = logging.getLogger("robinlab")
+    if not any(isinstance(h, _InfoHandler) for h in logger.handlers):
+        logger.addHandler(_InfoHandler())
 
 
 def _run_with_sink(cfg: RunConfig, command: str, body) -> int:
@@ -384,6 +405,7 @@ def config_from(args: argparse.Namespace) -> RunConfig:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _route_logging()
     try:
         cfg = config_from(args)
         if args.command == "primes":

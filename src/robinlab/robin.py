@@ -16,6 +16,7 @@ from typing import Iterator
 import numpy as np
 
 from .arithmetic import Factorization, SigmaTable, log_n_of, sigma_ratio_of, sigma_sieve
+from .errors import require_capacity
 from .kahan import kahan_sum
 from .primes import table_for_count
 
@@ -34,6 +35,11 @@ SPECIAL_LOGLOG_NONPOSITIVE = "loglog_nonpositive"
 # exact float ties are decided as non-violations; anything this close gets
 # logged so a human can look at it
 NEAR_TIE_BAND = 1e-12
+
+# peak transient bytes per scanned n in scan_range, as measured by
+# tracemalloc: four float64 arrays (n -> log n -> sqrt(log n), sigma/n,
+# bound, delta) plus two byte masks
+SCAN_BYTES_PER_N = 34
 
 
 @dataclass(frozen=True)
@@ -135,6 +141,21 @@ class ScanResult:
         return [(r.n, r.delta) for r in self.top_rows]
 
 
+def top_k_indices(values: np.ndarray, k: int) -> np.ndarray:
+    """Indices of the k largest values, largest first, ties by smaller index.
+
+    The same indices as np.argsort(-values, kind="stable")[:k], but only the
+    values at or above the k-th largest get sorted.
+    """
+    size = values.size
+    k = min(k, size)
+    if k <= 0:
+        return np.empty(0, dtype=np.intp)
+    kth = np.partition(values, size - k)[size - k]
+    picked = np.flatnonzero(values >= kth)
+    return picked[np.lexsort((picked, -values[picked]))][:k]
+
+
 def scan_range(
     lo: int,
     hi: int,
@@ -145,45 +166,55 @@ def scan_range(
 ) -> ScanResult:
     """Scan [lo, hi] for bound violations using an exact sigma table.
 
-    Needs about 48 bytes per scanned n in transient arrays. n = 2 is skipped
-    as the special log log n < 0 case; violators are ascending, top rows are
-    the largest delta values, ties broken by smaller n.
+    Needs about SCAN_BYTES_PER_N bytes per scanned n in transient arrays on
+    top of the table; the budget guard checks them before the table is
+    built. n = 2 is skipped as the special log log n < 0 case; violators are
+    ascending, top rows are the largest delta values, ties broken by smaller
+    n.
     """
     if not 2 <= lo <= hi:
         raise ValueError(f"need 2 <= lo <= hi, got [{lo}, {hi}]")
+    start = max(lo, 3)
+    if odd_only and start % 2 == 0:
+        start += 1
+    step = 2 if odd_only else 1
+    count = max(0, (hi - start) // step + 1)
+    require_capacity(SCAN_BYTES_PER_N * count, f"scan transients for {count} values in [{lo}, {hi}]")
     if table is None:
         table = sigma_sieve(hi)
     if table.limit < hi:
         raise ValueError(f"sigma table covers {table.limit}, scan needs {hi}")
-    start = max(lo, 3)
-    if odd_only and start % 2 == 0:
-        start += 1
-    if start > hi:
+    if count == 0:
         return ScanResult([], [], [])
-    step = 2 if odd_only else 1
-    ns = np.arange(start, hi + 1, step, dtype=np.int64)
-    sig = table.sigma[ns]
-    ratio = sig / ns
-    log_ns = np.log(ns)
-    bound = EXP_GAMMA * np.log(log_ns)
-    delta = (ratio - bound) * np.sqrt(log_ns)
-    viol_mask = ratio > bound
-    near_mask = np.abs(ratio - bound) < NEAR_TIE_BAND
+    sig = table.sigma[start : hi + 1 : step]
+    # float64 n is exact below 2**53; the buffer then holds log n, sqrt(log n)
+    work = np.arange(start, hi + 1, step, dtype=np.float64)
+    ratio = sig / work
+    np.log(work, out=work)
+    bound = np.log(work)
+    bound *= EXP_GAMMA
+    delta = ratio - bound
+    viol_idx = np.flatnonzero(ratio > bound)
+    near = delta < NEAR_TIE_BAND
+    near &= delta > -NEAR_TIE_BAND
+    near_idx = np.flatnonzero(near)
+    del near
+    delta *= np.sqrt(work, out=work)
+    del work  # top_k_indices partitions a copy of delta in its place
 
     def row(i: int) -> RobinRow:
         return RobinRow(
-            n=int(ns[i]),
+            n=start + step * int(i),
             sigma=int(sig[i]),
             sigma_ratio=float(ratio[i]),
             bound_ratio=float(bound[i]),
             delta=float(delta[i]),
-            violates=bool(viol_mask[i]),
+            violates=bool(ratio[i] > bound[i]),
         )
 
-    violator_rows = [row(i) for i in np.flatnonzero(viol_mask)]
-    order = np.argsort(-delta, kind="stable")[: max(top_k, 0)]
-    top_rows = [row(int(i)) for i in order]
-    near_ties = [int(v) for v in ns[near_mask]]
+    violator_rows = [row(i) for i in viol_idx]
+    top_rows = [row(i) for i in top_k_indices(delta, top_k)]
+    near_ties = [start + step * int(i) for i in near_idx]
     if near_ties:
         log.warning("scan [%d, %d]: %d values within %g of the bound: %s",
                     lo, hi, len(near_ties), NEAR_TIE_BAND, near_ties[:20])

@@ -138,6 +138,20 @@ def test_sigma_sieve_vs_enumeration_sample():
         assert table.of(n) == _sigma_by_enumeration(n), n
 
 
+def test_sigma_sieve_every_small_limit():
+    # square and non-square limits, so the last strided slice ends both ways
+    expect = [0] + [_sigma_by_enumeration(n) for n in range(1, 201)]
+    for limit in range(1, 201):
+        assert sigma_sieve(limit).sigma.tolist() == expect[: limit + 1], limit
+
+
+def test_sigma_sieve_tail_and_squares(sigma1e6):
+    limit = 1_000_000
+    ns = list(range(limit - 99, limit + 1)) + [r * r for r in range(1, 1001)]
+    for n in ns:
+        assert sigma1e6.of(n) == sigma_of(factorize(n)), n
+
+
 def test_sigma_multiplicative(sigma1e5):
     rng = random.Random(20260817)
     pairs = 0

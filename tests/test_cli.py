@@ -2,6 +2,9 @@
 import json
 import math
 
+import robinlab.robin
+from robinlab.cli import main
+
 PRIMES_30 = [
     "n,p_n", "1,2", "2,3", "3,5", "4,7", "5,11",
     "6,13", "7,17", "8,19", "9,23", "10,29",
@@ -188,3 +191,17 @@ def test_theta_check_series_sup_default(run_cli):
     assert "first failure at p=5" in cp.stderr
     failing = [line for line in cp.stdout.splitlines()[1:] if line.startswith("5,")]
     assert len(failing) == 1 and failing[0].endswith(",false")
+
+
+def test_near_tie_warnings_use_hash_channel(capsys, monkeypatch):
+    args = ["robin-scan", "--lo", "3", "--hi", "200"]
+    assert main(args) == 0
+    plain = capsys.readouterr()
+    monkeypatch.setattr(robinlab.robin, "NEAR_TIE_BAND", 10.0)
+    assert main(args) == 0
+    flagged = capsys.readouterr()
+    assert flagged.out == plain.out
+    assert "values within 10 of the bound" in flagged.err
+    lines = flagged.err.splitlines()
+    assert len(lines) > len(plain.err.splitlines())
+    assert all(line.startswith("# ") for line in lines), lines

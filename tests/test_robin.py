@@ -1,19 +1,25 @@
 """Divisor-bound evaluation, range scans, and extremal candidate walks."""
 import math
+import tracemalloc
 
+import numpy as np
 import pytest
 
-from robinlab.arithmetic import Factorization, factorize, sigma_of
+from robinlab.arithmetic import Factorization, factorize, sigma_of, sigma_sieve
+from robinlab.errors import CapacityError, memory_budget_bytes
 from robinlab.robin import (
     EULER_GAMMA,
     EXP_GAMMA,
+    SCAN_BYTES_PER_N,
     ExtremalCandidate,
+    RobinRow,
     bound_rhs,
     extremal_candidates,
     ramanujan_constant,
     robin_check,
     robin_delta,
     scan_range,
+    top_k_indices,
 )
 
 # the complete violator list below 10^6; every entry re-confirmed here with
@@ -173,6 +179,71 @@ def test_scan_domain(sigma1e5):
         scan_range(10, 3, table=sigma1e5)
     with pytest.raises(ValueError):
         scan_range(3, 200_000, table=sigma1e5)  # table too small
+
+
+def _reference_scan(table, lo, hi, odd_only, top_k):
+    # the straightforward formula: int64 n, gathered sigma, full stable sort
+    start = max(lo, 3)
+    if odd_only and start % 2 == 0:
+        start += 1
+    ns = np.arange(start, hi + 1, 2 if odd_only else 1, dtype=np.int64)
+    sig = table.sigma[ns]
+    ratio = sig / ns
+    log_ns = np.log(ns)
+    bound = EXP_GAMMA * np.log(log_ns)
+    delta = (ratio - bound) * np.sqrt(log_ns)
+    viol = ratio > bound
+
+    def row(i):
+        return RobinRow(int(ns[i]), int(sig[i]), float(ratio[i]), float(bound[i]),
+                        float(delta[i]), bool(viol[i]))
+
+    order = np.argsort(-delta, kind="stable")[: max(top_k, 0)]
+    return [row(i) for i in np.flatnonzero(viol)], [row(i) for i in order]
+
+
+@pytest.mark.parametrize("lo, hi, odd_only", [(3, 100_000, False), (17, 100_000, True),
+                                              (2, 10, False), (4, 1001, True)])
+@pytest.mark.parametrize("top_k", [0, 1, 10, 37, 200_000])
+def test_scan_rows_equal_reference_formula(sigma1e5, lo, hi, odd_only, top_k):
+    res = scan_range(lo, hi, odd_only=odd_only, table=sigma1e5, top_k=top_k)
+    violators, top = _reference_scan(sigma1e5, lo, hi, odd_only, top_k)
+    assert res.violator_rows == violators
+    assert res.top_rows == top
+    assert res.near_ties == []
+
+
+def test_top_k_ties_straddle_kth():
+    values = np.array([1.0, 5.0, 3.0, 5.0, 3.0, 3.0, -2.0, 3.0, 0.0, -0.0])
+    stable = np.argsort(-values, kind="stable")
+    for k in range(-1, values.size + 3):
+        assert top_k_indices(values, k).tolist() == stable[: max(k, 0)].tolist(), k
+    # k = 3 cuts through the four 3.0 entries: the smaller indices win
+    assert top_k_indices(values, 3).tolist() == [1, 3, 2]
+    assert top_k_indices(np.full(6, 7.0), 4).tolist() == [0, 1, 2, 3]
+
+
+def test_scan_budget_covers_transients(monkeypatch):
+    monkeypatch.setenv("ROBINLAB_MEM_BUDGET_MB", "2")  # table 0.8 MB, scan 3.4 MB
+    table = sigma_sieve(100_000)
+    with pytest.raises(CapacityError, match="scan transients"):
+        scan_range(3, 100_000, table=table)
+    with pytest.raises(CapacityError, match="scan transients"):
+        scan_range(3, 100_000)
+    # the odd half of a smaller window fits
+    assert scan_range(3, 100_001 // 2, odd_only=True, table=table).violators == [3, 5, 9]
+    monkeypatch.delenv("ROBINLAB_MEM_BUDGET_MB")
+    assert SCAN_BYTES_PER_N * (10**7 - 2) + 8 * (10**7 + 1) <= memory_budget_bytes()
+
+
+def test_scan_transients_within_budgeted_figure(sigma1e5):
+    tracemalloc.start()
+    try:
+        scan_range(3, 100_000, table=sigma1e5)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= SCAN_BYTES_PER_N * 99_998 + (1 << 16)
 
 
 def test_extremal_single_prime():
