@@ -14,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, require_capacity
-from .kahan import KahanSum
 from .primes import primes_in_range
 
 U64_LIMIT = 1 << 64
@@ -166,11 +165,8 @@ def sigma_ratio_of(f: Factorization) -> float:
 
 
 def log_n_of(f: Factorization) -> float:
-    """log n as a compensated sum of e * log q."""
-    acc = KahanSum()
-    for q, e in f.factors:
-        acc.add(e * math.log(q))
-    return acc.value
+    """log n as the correctly rounded sum of e * log q."""
+    return math.fsum(e * math.log(q) for q, e in f.factors)
 
 
 @dataclass(frozen=True, eq=False)

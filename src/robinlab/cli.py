@@ -47,8 +47,6 @@ CSV_HEADERS = {
 @dataclass
 class RunConfig:
     limit: int | None = None
-    k: int | None = None
-    c0: float | None = None
     format: str = "csv"
     threads: int = 1
     segment_size: int = DEFAULT_SEGMENT_ODDS
@@ -390,8 +388,6 @@ def build_parser() -> argparse.ArgumentParser:
 def config_from(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(
         limit=getattr(args, "limit", None),
-        k=getattr(args, "k", None) if isinstance(getattr(args, "k", None), int) else None,
-        c0=getattr(args, "c0", None),
         format=args.format,
         threads=args.threads,
         segment_size=args.segment_size,

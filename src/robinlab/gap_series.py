@@ -12,22 +12,28 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 import numpy as np
 
-from .kahan import KahanSum
 from .primes import PrimeTable, primes_up_to, table_for_count
+from .summation import prefix_sums
 
 DEFAULT_CHECKPOINT_EVERY = 100_000
+
+
+def gap_terms(primes: np.ndarray) -> np.ndarray:
+    """Series terms for each consecutive pair of an ascending prime array."""
+    p = primes[:-1]
+    lp = np.log(p)
+    return (lp - np.diff(primes)) / (np.sqrt(p) * lp * lp)
 
 
 def gap_term(p: int, p_next: int) -> float:
     """Series term for the consecutive prime pair (p, p_next)."""
     if p < 2 or p_next <= p:
         raise ValueError(f"need a consecutive prime pair, got ({p}, {p_next})")
-    lp = math.log(p)
-    return (lp - (p_next - p)) / (math.sqrt(p) * lp * lp)
+    return float(gap_terms(np.array([p, p_next], dtype=np.int64))[0])
 
 
 @dataclass(frozen=True)
@@ -37,7 +43,7 @@ class GapSeriesState:
     n: int
     p_n: int
     partial_sum: float
-    compensation: float
+    compensation: float  # partial_sum minus the plain running sum
     running_sup: float
     sup_at: int
 
@@ -80,28 +86,22 @@ def series_scan(
     primes = table.primes[:idx]
     if primes.size < 2:
         raise ValueError(f"no prime pair below {limit}")
-    plist = primes.tolist()
-    lps = np.log(primes).tolist()
-    sqs = np.sqrt(primes).tolist()
-    acc = KahanSum()
-    sup = -math.inf
-    sup_at = 0
-    every = checkpoint_every or DEFAULT_CHECKPOINT_EVERY
-    last = len(plist) - 1
-    for i in range(last):
-        gap = plist[i + 1] - plist[i]
-        lp = lps[i]
-        term = (lp - gap) / (sqs[i] * lp * lp)
-        acc.add(term)
-        n = i + 1
-        if acc.value > sup:
-            sup = acc.value
-            sup_at = n
-        if on_checkpoint is not None and (n % every == 0 or i == last - 1):
-            on_checkpoint(GapCheckpoint(n=n, p_n=plist[i], gap=gap, term=term,
-                                        partial_sum=acc.value, running_sup=sup))
-    return GapSeriesState(n=last, p_n=plist[last - 1], partial_sum=acc.value,
-                          compensation=acc.carry, running_sup=sup, sup_at=sup_at)
+    terms = gap_terms(primes)
+    sums = prefix_sums(terms)
+    last = terms.size
+    if on_checkpoint is not None:
+        sups = np.maximum.accumulate(sums)
+        every = checkpoint_every or DEFAULT_CHECKPOINT_EVERY
+        for n in [*range(every, last, every), last]:
+            i = n - 1
+            on_checkpoint(GapCheckpoint(n=n, p_n=int(primes[i]), gap=int(primes[n] - primes[i]),
+                                        term=float(terms[i]), partial_sum=float(sums[i]),
+                                        running_sup=float(sups[i])))
+    top = int(np.argmax(sums))
+    partial = float(sums[-1])
+    return GapSeriesState(n=last, p_n=int(primes[last - 1]), partial_sum=partial,
+                          compensation=partial - float(np.cumsum(terms)[-1]),
+                          running_sup=float(sums[top]), sup_at=top + 1)
 
 
 def equivalence_check(
@@ -125,13 +125,14 @@ def equivalence_check(
         raise ValueError(f"indices must be >= 1, got {idx[0]}")
     if table is None or table.count < idx[-1] + 1:
         table = table_for_count(idx[-1] + 1)
+    terms = gap_terms(table.primes[: idx[-1] + 1])
     for n in idx:
         p = table.nth(n)
         gap = table.gap(n)
         lp = math.log(p)
         sq = math.sqrt(p)
         a = (1.0 - gap / lp) / (sq * lp)
-        b = (lp - gap) / (sq * lp * lp)
+        b = float(terms[n - 1])
         scale = max(abs(a), abs(b), 1.0 / (sq * lp * lp))
         if abs(a - b) > rel_tol * scale:
             return False
@@ -152,24 +153,18 @@ def theta_bound_constants(limit: int, *, table: PrimeTable | None = None) -> lis
     if table is None:
         table = primes_up_to(limit)
     idx = table.pi(limit)
-    plist = table.primes[:idx].tolist()
-    if len(plist) < 2:
+    if idx < 2:
         raise ValueError(f"no prime pair below {limit}")
-    naive = 0.0
-    acc = KahanSum()
-    out: list[tuple[int, float]] = []
-    for i in range(len(plist) - 1):
-        gap = plist[i + 1] - plist[i]
-        lp = math.log(plist[i])
-        term = (lp - gap) / (math.sqrt(plist[i]) * lp * lp)
-        naive += term
-        acc.add(term)
-        if abs(naive - acc.value) > 1e-10:
-            raise ArithmeticError(
-                f"step recursion drifted {naive - acc.value:.3e} from the closed form at n={i + 1}"
-            )
-        out.append((i + 2, acc.value))
-    return out
+    terms = gap_terms(table.primes[:idx])
+    closed = prefix_sums(terms)
+    drift = np.cumsum(terms) - closed
+    bad = np.flatnonzero(np.abs(drift) > 1e-10)
+    if bad.size:
+        i = int(bad[0])
+        raise ArithmeticError(
+            f"step recursion drifted {drift[i]:.3e} from the closed form at n={i + 1}"
+        )
+    return list(zip(range(2, idx + 1), closed.tolist()))
 
 
 @dataclass(frozen=True)
@@ -215,40 +210,29 @@ def theta_inequality_check(
     if table.limit < limit:
         raise ValueError(f"prime table covers {table.limit}, check needs {limit}")
     idx = table.pi(limit)
-    plist = table.primes[:idx].tolist()
-    lps = np.log(table.primes[:idx]).tolist()
-    sqs = np.sqrt(table.primes[:idx]).tolist()
+    primes = table.primes[:idx]
+    lp = np.log(primes)
+    theta = prefix_sums(lp)
+    c_needed = (theta - primes) / (np.sqrt(primes) * lp * lp)
     every = checkpoint_every or DEFAULT_CHECKPOINT_EVERY
-    theta = KahanSum()
-    records: list[ThetaCheckRecord] = []
-    max_c = -math.inf
-    max_at = plist[0]
-    first_failure: int | None = None
-    all_sat = True
-    for i, p in enumerate(plist):
-        lp = lps[i]
-        theta.add(lp)
-        c_needed = (theta.value - p) / (sqs[i] * lp * lp)
-        sat = c_needed <= c0
-        if c_needed > max_c:
-            max_c = c_needed
-            max_at = p
-        n = i + 1
-        keep = n % every == 0 or i == len(plist) - 1
-        if not sat:
-            all_sat = False
-            if first_failure is None:
-                first_failure = p
-                keep = True
-        if keep:
-            records.append(ThetaCheckRecord(p_n=p, theta=theta.value, c_needed=c_needed, satisfied=sat))
+    keep = {*range(every - 1, idx, every), idx - 1}
+    satisfied = c_needed <= c0
+    failures = np.flatnonzero(~satisfied)
+    first_failure = None
+    if failures.size:
+        first_failure = int(primes[failures[0]])
+        keep.add(int(failures[0]))
+    records = [ThetaCheckRecord(p_n=int(primes[i]), theta=float(theta[i]),
+                                c_needed=float(c_needed[i]), satisfied=bool(satisfied[i]))
+               for i in sorted(keep)]
+    top = int(np.argmax(c_needed))
     return ThetaCheckResult(
         limit=limit,
         c0=c0,
         records=records,
-        all_satisfied=all_sat,
-        max_c_needed=max_c,
-        max_c_needed_at=max_at,
+        all_satisfied=first_failure is None,
+        max_c_needed=float(c_needed[top]),
+        max_c_needed_at=int(primes[top]),
         first_failure=first_failure,
-        checked=len(plist),
+        checked=idx,
     )

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import require_capacity
-from .kahan import KahanSum
+from .summation import prefix_sums
 
 # odd entries per segment; one segment covers twice this many integers
 DEFAULT_SEGMENT_ODDS = 1 << 20
@@ -163,7 +163,5 @@ def chebyshev_theta(x: int, table: PrimeTable) -> ThetaRecord:
     if x > table.limit:
         raise ValueError(f"x={x} beyond table limit {table.limit}")
     k = table.pi(x)
-    acc = KahanSum()
-    for lg in np.log(table.primes[:k]).tolist():
-        acc.add(lg)
-    return ThetaRecord(x=x, theta=acc.value, pi_x=k)
+    theta = float(prefix_sums(np.log(table.primes[:k]))[-1]) if k else 0.0
+    return ThetaRecord(x=x, theta=theta, pi_x=k)

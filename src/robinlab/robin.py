@@ -17,7 +17,6 @@ import numpy as np
 
 from .arithmetic import Factorization, SigmaTable, log_n_of, sigma_ratio_of, sigma_sieve
 from .errors import require_capacity
-from .kahan import kahan_sum
 from .primes import table_for_count
 
 log = logging.getLogger(__name__)
@@ -288,7 +287,7 @@ def extremal_candidates(
     logs = [math.log(p) for p in plist]
 
     def log_n(exps: tuple[int, ...]) -> float:
-        return kahan_sum(e * lg for e, lg in zip(exps, logs))
+        return math.fsum(e * lg for e, lg in zip(exps, logs))
 
     start = (1,)
     heap: list[tuple[float, tuple[int, ...]]] = [(logs[0], start)]

@@ -156,6 +156,8 @@ def test_product_state(table7):
 def test_sweep_summary(table7):
     summary = condition_sweep(1000, [1, 2, 3, 4, 5], table=table7)
     assert summary.first_hold == {1: 3, 2: 5, 3: 10, 4: 17, 5: 35}
+    # a repeated k is the same condition, not a second product
+    assert condition_sweep(50, [1, 1], table=table7).first_hold == {1: 3}
     assert summary.p_max == 7919
     assert summary.final_deviation == mertens_deviation(1000, table=table7)
     assert math.isclose(summary.final_deviation, 0.0012397105445680623, rel_tol=1e-10)
@@ -165,7 +167,10 @@ def test_sweep_rows_match_one_shot(table7):
     rows = []
     condition_sweep(200, [2], checkpoint_every=50, table=table7, on_row=rows.append)
     assert [(r.m, r.k) for r in rows] == [(50, 2), (100, 2), (150, 2), (200, 2)]
-    for r in rows:
+    every_m = []
+    condition_sweep(2000, [1, 2, 3, 4, 5], table=table7, on_row=every_m.append)
+    assert [(r.m, r.k) for r in every_m] == [(m, k) for m in range(1, 2001) for k in range(1, 6)]
+    for r in rows + every_m:
         a = product_condition(r.m, r.k, table=table7)
         b = deficit_condition(r.m, r.k, table=table7)
         # incremental accumulators replay the same operations: exact equality
