@@ -62,12 +62,10 @@ from .robin import (
     RAMANUJAN_LIMSUP,
     BOUND_VARIANTS,
     ExtremalCandidate,
-    MathConstants,
     RobinEvaluation,
     RobinRow,
     ScanResult,
     bound_rhs,
-    constants,
     extremal_candidates,
     ramanujan_constant,
     robin_check,
@@ -89,7 +87,6 @@ __all__ = [
     "GapCheckpoint",
     "GapSeriesState",
     "Interval",
-    "MathConstants",
     "PrimeTable",
     "ProductState",
     "RAMANUJAN_LIMSUP",
@@ -105,7 +102,6 @@ __all__ = [
     "bound_rhs",
     "chebyshev_theta",
     "condition_sweep",
-    "constants",
     "deficit_condition",
     "equivalence_check",
     "extremal_candidates",

@@ -34,13 +34,18 @@ def primes_in_range(lo: int, hi: int, *, segment_size: int = DEFAULT_SEGMENT_ODD
     """All primes in [lo, hi), ascending.
 
     Memory stays O(segment_size + pi(sqrt(hi)) + output); only the window
-    itself is sieved, so windows near 1e9 are cheap.
+    itself is sieved, so windows near 1e9 are cheap. The output, estimated
+    from the width of the window, and one segment are checked against the
+    memory budget before anything is sieved.
     """
     if segment_size < 1:
         raise ValueError(f"segment_size must be positive, got {segment_size}")
     lo = max(lo, 2)
     if hi <= lo:
         return np.empty(0, dtype=np.int64)
+    # about 1.3 (hi - lo) / log hi primes of 8 bytes, plus a one-byte-per-odd segment mask
+    est_out = int(8 * 1.3 * (hi - lo) / math.log(hi))
+    require_capacity(est_out + min(segment_size, (hi - lo + 1) // 2), f"primes in [{lo}, {hi})")
     base = _small_primes(math.isqrt(hi - 1))
     odd_base = [int(p) for p in base[base > 2]]
     pieces = []
@@ -105,9 +110,6 @@ def primes_up_to(limit: int, *, segment_size: int = DEFAULT_SEGMENT_ODDS) -> Pri
     """Sieve all primes <= limit into a PrimeTable."""
     if limit < 0:
         raise ValueError(f"limit must be >= 0, got {limit}")
-    if limit >= 17:
-        est_out = int(8 * 1.3 * limit / math.log(limit))
-        require_capacity(est_out + segment_size, f"prime table up to {limit}")
     return PrimeTable(limit=limit, primes=primes_in_range(2, limit + 1, segment_size=segment_size))
 
 

@@ -15,7 +15,15 @@ from typing import Iterator
 
 import numpy as np
 
-from .arithmetic import Factorization, SigmaTable, log_n_of, sigma_ratio_of, sigma_sieve
+from .arithmetic import (
+    SIGMA_BYTES_PER_N,
+    Factorization,
+    SigmaTable,
+    log_n_of,
+    sigma_ratio_of,
+    sigma_sieve,  # noqa: F401  unused here, but bench/tracer.py wraps robin.sigma_sieve
+    sigma_window,
+)
 from .errors import require_capacity
 from .primes import table_for_count
 
@@ -35,21 +43,15 @@ SPECIAL_LOGLOG_NONPOSITIVE = "loglog_nonpositive"
 # logged so a human can look at it
 NEAR_TIE_BAND = 1e-12
 
-# peak transient bytes per scanned n in scan_range, as measured by
+# scanned values per scan_range window; a scan holds one window's arrays at
+# a time, so its peak memory does not grow with hi
+SCAN_WINDOW = 1 << 18
+
+# peak transient bytes per scanned n of a window, as measured by
 # tracemalloc: four float64 arrays (n -> log n -> sqrt(log n), sigma/n,
-# bound, delta) plus two byte masks
+# bound, delta) plus two byte masks; the window's sigma (SIGMA_BYTES_PER_N
+# per n it spans) comes on top
 SCAN_BYTES_PER_N = 34
-
-
-@dataclass(frozen=True)
-class MathConstants:
-    euler_gamma: float = EULER_GAMMA
-    exp_gamma: float = EXP_GAMMA
-    ramanujan_limsup: float = RAMANUJAN_LIMSUP
-
-
-def constants() -> MathConstants:
-    return MathConstants()
 
 
 def ramanujan_constant() -> float:
@@ -155,39 +157,21 @@ def top_k_indices(values: np.ndarray, k: int) -> np.ndarray:
     return picked[np.lexsort((picked, -values[picked]))][:k]
 
 
-def scan_range(
-    lo: int,
-    hi: int,
-    *,
-    odd_only: bool = False,
-    table: SigmaTable | None = None,
-    top_k: int = 10,
-) -> ScanResult:
-    """Scan [lo, hi] for bound violations using an exact sigma table.
+def _rank(r: RobinRow) -> tuple[float, int]:
+    return (-r.delta, r.n)
 
-    Needs about SCAN_BYTES_PER_N bytes per scanned n in transient arrays on
-    top of the table; the budget guard checks them before the table is
-    built. n = 2 is skipped as the special log log n < 0 case; violators are
-    ascending, top rows are the largest delta values, ties broken by smaller
-    n.
+
+def _scan_window(
+    sig: np.ndarray, start: int, step: int, top_k: int
+) -> tuple[list[RobinRow], list[RobinRow], list[int]]:
+    """Violator rows, top rows and near ties of n = start + step * i, i < sig.size.
+
+    sig[i] is sigma(start + step * i). Every element goes through the same
+    numpy operations whatever the window, so rows do not depend on where
+    window boundaries fall.
     """
-    if not 2 <= lo <= hi:
-        raise ValueError(f"need 2 <= lo <= hi, got [{lo}, {hi}]")
-    start = max(lo, 3)
-    if odd_only and start % 2 == 0:
-        start += 1
-    step = 2 if odd_only else 1
-    count = max(0, (hi - start) // step + 1)
-    require_capacity(SCAN_BYTES_PER_N * count, f"scan transients for {count} values in [{lo}, {hi}]")
-    if table is None:
-        table = sigma_sieve(hi)
-    if table.limit < hi:
-        raise ValueError(f"sigma table covers {table.limit}, scan needs {hi}")
-    if count == 0:
-        return ScanResult([], [], [])
-    sig = table.sigma[start : hi + 1 : step]
     # float64 n is exact below 2**53; the buffer then holds log n, sqrt(log n)
-    work = np.arange(start, hi + 1, step, dtype=np.float64)
+    work = np.arange(start, start + step * sig.size, step, dtype=np.float64)
     ratio = sig / work
     np.log(work, out=work)
     bound = np.log(work)
@@ -213,7 +197,56 @@ def scan_range(
 
     violator_rows = [row(i) for i in viol_idx]
     top_rows = [row(i) for i in top_k_indices(delta, top_k)]
-    near_ties = [start + step * int(i) for i in near_idx]
+    return violator_rows, top_rows, [start + step * int(i) for i in near_idx]
+
+
+def scan_range(
+    lo: int,
+    hi: int,
+    *,
+    odd_only: bool = False,
+    table: SigmaTable | None = None,
+    top_k: int = 10,
+) -> ScanResult:
+    """Scan [lo, hi] for bound violations using exact integer sigma.
+
+    Works through windows of SCAN_WINDOW scanned values in ascending order.
+    Each window takes sigma(n) from a view of `table` when one is given and
+    from sigma_window otherwise; nothing else differs. Peak memory is one
+    window's: SCAN_BYTES_PER_N per scanned n in transients plus
+    SIGMA_BYTES_PER_N per n the window spans, checked against the budget
+    before anything is sieved, whatever hi is. n = 2 is skipped as the
+    special log log n < 0 case; violators are ascending, top rows are the
+    largest delta values, ties broken by smaller n.
+    """
+    if not 2 <= lo <= hi:
+        raise ValueError(f"need 2 <= lo <= hi, got [{lo}, {hi}]")
+    if table is not None and table.limit < hi:
+        raise ValueError(f"sigma table covers {table.limit}, scan needs {hi}")
+    start = max(lo, 3)
+    if odd_only and start % 2 == 0:
+        start += 1
+    step = 2 if odd_only else 1
+    count = max(0, (hi - start) // step + 1)
+    window = min(SCAN_WINDOW, count)
+    require_capacity((SCAN_BYTES_PER_N + SIGMA_BYTES_PER_N * step) * window,
+                     f"scan transients and sigma for a window of {window} values in [{lo}, {hi}]")
+    violator_rows: list[RobinRow] = []
+    top_rows: list[RobinRow] = []
+    near_ties: list[int] = []
+    for first in range(start, start + step * count, step * SCAN_WINDOW):
+        last = min(hi, first + step * (SCAN_WINDOW - 1))
+        if table is None:
+            sig = sigma_window(first, last + 1)[::step]
+        else:
+            sig = table.sigma[first : last + 1 : step]
+        viol, top, near = _scan_window(sig, first, step, top_k)
+        violator_rows += viol
+        near_ties += near
+        top_rows += top
+        if len(top_rows) > 2 * top_k:  # keeps the merge linear in the rows seen
+            top_rows = sorted(top_rows, key=_rank)[:top_k]
+    top_rows = sorted(top_rows, key=_rank)[: max(top_k, 0)]
     if near_ties:
         log.warning("scan [%d, %d]: %d values within %g of the bound: %s",
                     lo, hi, len(near_ties), NEAR_TIE_BAND, near_ties[:20])

@@ -2,16 +2,19 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from robinlab.arithmetic import (
     Factorization,
+    _rho_split,
     factorize,
     is_prime,
     log_n_of,
     sigma_of,
     sigma_ratio_of,
     sigma_sieve,
+    sigma_window,
 )
 from robinlab.errors import CapacityError
 
@@ -170,3 +173,91 @@ def test_ratio_and_log_consistency(sigma1e5):
         f = factorize(n)
         assert abs(sigma_ratio_of(f) - sigma1e5.of(n) / n) <= 1e-12
         assert abs(log_n_of(f) - math.log(n)) <= 1e-12
+
+
+def test_sigma_window_equals_table_slice():
+    rng = random.Random(20261018)
+    windows = [(lo, lo + w) for lo in (1, 2, 3, 4, 99, 10**6 - 5)
+               for w in (0, 1, 2, 7, 64, rng.randrange(100, 5000))]
+    # windows that start just below a square and end just past it, some
+    # narrower than sqrt(hi) so each divisor row hits them at most once
+    for _ in range(40):
+        r = rng.randrange(2, 1000)
+        windows.append((r * r - rng.randrange(0, min(r * r - 1, 300)), r * r + rng.randrange(1, 300)))
+    for lo, hi in windows:
+        if hi < 2:
+            assert sigma_window(lo, hi).tolist() == []
+            continue
+        expect = sigma_sieve(hi - 1).sigma[lo:hi]
+        got = sigma_window(lo, hi)
+        assert got.dtype == np.int64
+        assert got.tolist() == expect.tolist(), (lo, hi)
+
+
+def test_sigma_window_far_from_origin():
+    rng = random.Random(5)
+    for lo in (10**9 - 50, 2**40 + 1, rng.randrange(10**12, 10**13)):
+        got = sigma_window(lo, lo + 50)
+        assert got.tolist() == [sigma_of(factorize(n)) for n in range(lo, lo + 50)], lo
+
+
+def test_sigma_window_domain():
+    with pytest.raises(ValueError):
+        sigma_window(0, 5)
+    with pytest.raises(ValueError):
+        sigma_window(5, 4)
+
+
+def _rho_split_reference(n):
+    # the earlier loop, kept as the exact reference: q multiplies |x - y|
+    c = 1
+    while True:
+        y, r, q = 2, 1, 1
+        g = 1
+        x = ys = y
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r <<= 1
+        if g == n:
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
+        c += 1
+
+
+def _random_prime(rng, bits):
+    while True:
+        p = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
+        if is_prime(p):
+            return p
+
+
+def test_rho_split_matches_reference_form():
+    rng = random.Random(31032)
+    composites = [_random_prime(rng, 31) * _random_prime(rng, 32) for _ in range(24)]
+    for _ in range(300):
+        shape = rng.randrange(3)
+        if shape == 0:  # semiprime of two primes past trial division
+            n = _random_prime(rng, rng.randrange(11, 21)) * _random_prime(rng, rng.randrange(11, 24))
+        elif shape == 1:  # prime square, where the cycle often closes on n
+            n = _random_prime(rng, rng.randrange(11, 24)) ** 2
+        else:  # three odd prime factors
+            n = math.prod(_random_prime(rng, rng.randrange(11, 17)) for _ in range(3))
+        composites.append(n)
+    for n in composites:
+        g = _rho_split(n)
+        assert g == _rho_split_reference(n), n
+        assert 1 < g < n and n % g == 0, n

@@ -3,6 +3,7 @@ import json
 import math
 
 import robinlab.robin
+from robinlab.arithmetic import factorize, sigma_of
 from robinlab.cli import main
 
 PRIMES_30 = [
@@ -205,3 +206,17 @@ def test_near_tie_warnings_use_hash_channel(capsys, monkeypatch):
     lines = flagged.err.splitlines()
     assert len(lines) > len(plain.err.splitlines())
     assert all(line.startswith("# ") for line in lines), lines
+
+
+def test_robin_scan_far_window_within_default_budget(run_cli):
+    # a window ending at 1e9 sieves only itself; a table up to hi would need 8 GB
+    cp = run_cli(["robin-scan", "--lo", "999900000", "--hi", "1000000000"],
+                 env_extra={"ROBINLAB_MEM_BUDGET_MB": ""})
+    assert cp.returncode == 0, cp.stderr
+    lines = cp.stdout.splitlines()
+    assert lines[0] == "n,sigma,sigma_ratio,bound_ratio,delta,violates"
+    assert len(lines) == 11  # no violators, ten top rows
+    for line in lines[1:]:
+        n, sigma = (int(v) for v in line.split(",")[:2])
+        assert 999_900_000 <= n <= 1_000_000_000
+        assert sigma == sigma_of(factorize(n)), n

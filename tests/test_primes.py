@@ -156,3 +156,11 @@ def test_capacity_budget(monkeypatch):
     monkeypatch.setenv(ENV_MEM_BUDGET_MB, "1")
     with pytest.raises(CapacityError, match="budget"):
         primes_up_to(10_000_000)
+
+
+def test_capacity_budget_covers_any_window(monkeypatch):
+    monkeypatch.setenv(ENV_MEM_BUDGET_MB, "1")
+    # a 1e7-wide window far from the origin holds about 480k primes (3.9 MB)
+    with pytest.raises(CapacityError, match=r"primes in \[1000000000, 1010000000\)"):
+        primes_in_range(10**9, 10**9 + 10**7)
+    assert primes_in_range(10**9, 10**9 + 100).tolist() == _trial_division_window(10**9, 10**9 + 100)

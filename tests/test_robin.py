@@ -5,7 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from robinlab.arithmetic import Factorization, factorize, sigma_of, sigma_sieve
+import robinlab.robin
+from robinlab.arithmetic import SIGMA_BYTES_PER_N, Factorization, SigmaTable, factorize, sigma_of, sigma_sieve
 from robinlab.errors import CapacityError, memory_budget_bytes
 from robinlab.robin import (
     EULER_GAMMA,
@@ -244,6 +245,66 @@ def test_scan_transients_within_budgeted_figure(sigma1e5):
     finally:
         tracemalloc.stop()
     assert peak <= SCAN_BYTES_PER_N * 99_998 + (1 << 16)
+
+
+# the ranges of test_scan_rows_equal_reference_formula; one-value windows
+# cost a Python round trip per n (about 0.1 ms), so they stop the two
+# 1e5-wide ranges at 1e4
+_WINDOW_GRID = [(window, lo, min(hi, 10_000) if window == 1 else hi, odd_only)
+                for window in (1, 7, 4096)
+                for lo, hi, odd_only in [(3, 100_000, False), (17, 100_000, True),
+                                         (2, 10, False), (4, 1001, True)]]
+
+
+@pytest.mark.parametrize("window, lo, hi, odd_only", _WINDOW_GRID)
+@pytest.mark.parametrize("top_k", [0, 1, 10, 37, 200_000])
+def test_windowed_scan_rows_equal_reference_formula(monkeypatch, sigma1e5, window, lo, hi,
+                                                    odd_only, top_k):
+    monkeypatch.setattr(robinlab.robin, "SCAN_WINDOW", window)
+    violators, top = _reference_scan(sigma1e5, lo, hi, odd_only, top_k)
+    for table in (sigma1e5, None):
+        res = scan_range(lo, hi, odd_only=odd_only, table=table, top_k=top_k)
+        assert res.violator_rows == violators
+        assert res.top_rows == top
+        assert res.near_ties == []
+
+
+def test_scan_peak_is_one_window_without_table():
+    tracemalloc.start()
+    try:
+        scan_range(3, 10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    window = robinlab.robin.SCAN_WINDOW
+    assert window < 10**6 // 2  # the scan spans several windows
+    assert peak <= (SCAN_BYTES_PER_N + SIGMA_BYTES_PER_N) * window + (1 << 16)
+
+
+def test_top_k_tie_across_window_boundary_keeps_smaller_n(monkeypatch):
+    # a made-up table: zero everywhere except n = 6 and n = 7, whose huge
+    # sigma values give the two largest delta values, and exactly equal ones
+    def delta(sig, n):
+        log_n = np.log(np.float64(n))
+        return (sig / np.float64(n) - EXP_GAMMA * np.log(log_n)) * np.sqrt(log_n)
+
+    s6 = np.int64(10**17)
+    d6 = delta(s6, 6)
+    guess = int(d6 / math.sqrt(math.log(7)) * 7)
+    cand = np.arange(guess - 200_000, guess + 200_000, dtype=np.int64)
+    s7 = cand[np.flatnonzero(delta(cand, 7) == d6)[0]]
+    sigma = np.zeros(21, dtype=np.int64)
+    sigma[6], sigma[7] = s6, s7
+    table = SigmaTable(limit=20, sigma=sigma)
+    tops = []
+    for window in (4, 1 << 18):  # windows [3, 6], [7, 10], ... and one window
+        monkeypatch.setattr(robinlab.robin, "SCAN_WINDOW", window)
+        top = scan_range(3, 20, table=table, top_k=2).top_rows
+        assert [r.n for r in top] == [6, 7]
+        assert top[0].delta == top[1].delta
+        assert scan_range(3, 20, table=table, top_k=1).top_rows == top[:1]
+        tops.append(top)
+    assert tops[0] == tops[1]
 
 
 def test_extremal_single_prime():
