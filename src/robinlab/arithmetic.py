@@ -14,12 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import CapacityError, require_capacity
+from .primes import _small_primes
 
 U64_LIMIT = 1 << 64
 # bytes per entry of an int64 sigma table or window
 SIGMA_BYTES_PER_N = 8
-# plain Python, so importing this module never reads the memory budget
-_TRIAL_PRIMES = tuple(p for p in range(2, 1000) if all(p % q for q in range(2, math.isqrt(p) + 1)))
+_TRIAL_PRIMES = tuple(int(p) for p in _small_primes(999))
 # witness set proven sufficient for every n < 3.3e24, far past 2**64
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -84,10 +84,8 @@ def _rho_split(n: int) -> int:
     """Nontrivial factor of an odd composite n, Brent cycle, deterministic.
 
     The polynomial constant starts at 1 and is bumped on failure, so repeated
-    runs always walk the same sequence. The product q takes x - y without
-    abs(): a sign flip mod n never changes gcd(q, n).
+    runs always walk the same sequence.
     """
-    gcd = math.gcd
     c = 1
     while True:
         y, r, q = 2, 1, 1
@@ -102,15 +100,15 @@ def _rho_split(n: int) -> int:
                 ys = y
                 for _ in range(min(128, r - k)):
                     y = (y * y + c) % n
-                    q = q * (x - y) % n
-                g = gcd(q, n)
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
                 k += 128
             r <<= 1
         if g == n:
             g = 1
             while g == 1:
                 ys = (ys * ys + c) % n
-                g = gcd(x - ys, n)
+                g = math.gcd(abs(x - ys), n)
         if g != n:
             return g
         c += 1
@@ -194,27 +192,18 @@ def _divisor_pair_sweep(sigma: np.ndarray, lo: int) -> None:
 
     Every divisor pair (d, n/d) with d <= sqrt(n) is added once: d = 1 by
     one add over the window, and each d up to isqrt(hi - 1) as a strided
-    slice from its first multiple n >= max(d*d, lo). A d wider than the
-    window hits it at most once, so those d are added together by one
-    scatter instead of a Python loop.
+    slice from its first multiple n >= max(d*d, lo).
     """
     hi = lo + sigma.size
     if hi == lo:
         return
     sigma += 1  # pairs (1, n)
     root = math.isqrt(hi - 1)
-    split = min(root, sigma.size)
-    for d in range(2, split + 1):
+    for d in range(2, root + 1):
         first = max(d * d, -(-lo // d) * d)
         if first < hi:
             # pairs (d, k) for max(d, lo/d) <= k <= (hi-1) // d land on n = d*k
             sigma[first - lo :: d] += np.arange(d + first // d, d + (hi - 1) // d + 1, dtype=np.int64)
-    if root > split:
-        ds = np.arange(split + 1, root + 1, dtype=np.int64)
-        first = np.maximum(ds * ds, -(-lo // ds) * ds)
-        hit = first < hi
-        ds, first = ds[hit], first[hit]
-        np.add.at(sigma, first - lo, ds + first // ds)
     # squares counted their root twice in the pair sweep above
     roots = np.arange(math.isqrt(lo - 1) + 1, root + 1, dtype=np.int64)
     sigma[roots * roots - lo] -= roots
@@ -224,8 +213,10 @@ def sigma_window(lo: int, hi: int) -> np.ndarray:
     """Exact int64 sigma(n) for every n in [lo, hi), 1 <= lo <= hi.
 
     Costs 8 bytes per entry plus one transient of at most 4 bytes per
-    entry, whatever lo is, so windows near 1e9 are as cheap as windows near
-    1. The caller budgets the result; sigma_sieve and scan_range do.
+    entry, whatever lo is, so windows near 1e9 need no more memory than
+    windows near 1. Time has one Python step per d up to isqrt(hi - 1), which
+    dominates narrow windows far from 1. The caller budgets the result;
+    sigma_sieve and scan_range do.
     """
     if not 1 <= lo <= hi:
         raise ValueError(f"need 1 <= lo <= hi, got [{lo}, {hi})")

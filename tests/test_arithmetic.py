@@ -7,7 +7,6 @@ import pytest
 
 from robinlab.arithmetic import (
     Factorization,
-    _rho_split,
     factorize,
     is_prime,
     log_n_of,
@@ -207,57 +206,3 @@ def test_sigma_window_domain():
     with pytest.raises(ValueError):
         sigma_window(5, 4)
 
-
-def _rho_split_reference(n):
-    # the earlier loop, kept as the exact reference: q multiplies |x - y|
-    c = 1
-    while True:
-        y, r, q = 2, 1, 1
-        g = 1
-        x = ys = y
-        while g == 1:
-            x = y
-            for _ in range(r):
-                y = (y * y + c) % n
-            k = 0
-            while k < r and g == 1:
-                ys = y
-                for _ in range(min(128, r - k)):
-                    y = (y * y + c) % n
-                    q = q * abs(x - y) % n
-                g = math.gcd(q, n)
-                k += 128
-            r <<= 1
-        if g == n:
-            g = 1
-            while g == 1:
-                ys = (ys * ys + c) % n
-                g = math.gcd(abs(x - ys), n)
-        if g != n:
-            return g
-        c += 1
-
-
-def _random_prime(rng, bits):
-    while True:
-        p = rng.getrandbits(bits) | (1 << (bits - 1)) | 1
-        if is_prime(p):
-            return p
-
-
-def test_rho_split_matches_reference_form():
-    rng = random.Random(31032)
-    composites = [_random_prime(rng, 31) * _random_prime(rng, 32) for _ in range(24)]
-    for _ in range(300):
-        shape = rng.randrange(3)
-        if shape == 0:  # semiprime of two primes past trial division
-            n = _random_prime(rng, rng.randrange(11, 21)) * _random_prime(rng, rng.randrange(11, 24))
-        elif shape == 1:  # prime square, where the cycle often closes on n
-            n = _random_prime(rng, rng.randrange(11, 24)) ** 2
-        else:  # three odd prime factors
-            n = math.prod(_random_prime(rng, rng.randrange(11, 17)) for _ in range(3))
-        composites.append(n)
-    for n in composites:
-        g = _rho_split(n)
-        assert g == _rho_split_reference(n), n
-        assert 1 < g < n and n % g == 0, n

@@ -261,12 +261,24 @@ _WINDOW_GRID = [(window, lo, min(hi, 10_000) if window == 1 else hi, odd_only)
 def test_windowed_scan_rows_equal_reference_formula(monkeypatch, sigma1e5, window, lo, hi,
                                                     odd_only, top_k):
     monkeypatch.setattr(robinlab.robin, "SCAN_WINDOW", window)
+    res = scan_range(lo, hi, odd_only=odd_only, table=sigma1e5, top_k=top_k)
     violators, top = _reference_scan(sigma1e5, lo, hi, odd_only, top_k)
-    for table in (sigma1e5, None):
-        res = scan_range(lo, hi, odd_only=odd_only, table=table, top_k=top_k)
-        assert res.violator_rows == violators
-        assert res.top_rows == top
-        assert res.near_ties == []
+    assert res.violator_rows == violators
+    assert res.top_rows == top
+    assert res.near_ties == []
+
+
+@pytest.mark.parametrize("window, lo, hi, odd_only", _WINDOW_GRID)
+def test_windowed_scan_without_table_equals_reference_formula(monkeypatch, sigma1e5, window, lo,
+                                                              hi, odd_only):
+    # one scan that keeps every row: each smaller top-k is a prefix of it,
+    # and the merge for each k is covered by the table runs above
+    monkeypatch.setattr(robinlab.robin, "SCAN_WINDOW", window)
+    res = scan_range(lo, hi, odd_only=odd_only, top_k=200_000)
+    violators, top = _reference_scan(sigma1e5, lo, hi, odd_only, 200_000)
+    assert res.violator_rows == violators
+    assert res.top_rows == top
+    assert res.near_ties == []
 
 
 def test_scan_peak_is_one_window_without_table():
