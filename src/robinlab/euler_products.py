@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -21,6 +21,12 @@ from .summation import prefix_sums
 # p**-(k+1) underflows float64 well before this cap for every prime, so
 # larger exponents only saturate the products anyway
 MAX_EXPONENT = 60
+
+# log1p arguments of smaller magnitude take glibc's tiny branch (_log1p_neg)
+LOG1P_TINY = 2.0**-29
+
+# width of the first chunk of the first-hold search; each next chunk doubles
+FIRST_HOLD_CHUNK = 1024
 
 
 def _check_k(k: int) -> None:
@@ -39,6 +45,9 @@ def _libm(fn: Callable[..., float], values: np.ndarray, *args: object) -> np.nda
 
     numpy's SIMD log, log1p and power differ from libm in the last bit on up
     to 35k of the primes below 1e7; for log1p libm was closer in 28 of 29.
+    So pow, log and every log1p argument outside glibc's tiny branch (see
+    _log1p_neg) go through here; libm pow(p, -2) also differs from the
+    correctly rounded 1/(p*p) on 570 of those primes.
     """
     return np.fromiter(map(fn, memoryview(values), *map(repeat, args)), dtype=np.float64,
                        count=values.size)
@@ -49,9 +58,22 @@ def _mertens_terms(primes: np.ndarray) -> np.ndarray:
     return -_libm(math.log1p, np.divide(-1.0, primes))
 
 
+def _log1p_neg(x: np.ndarray) -> np.ndarray:
+    """log1p(-x) for each x in [0, 1), bit for bit as libm's log1p.
+
+    For |x| < 2**-29 glibc's log1p (s_log1p.c) returns x - x*x*0.5, or x
+    itself below 2**-54, where that expression rounds to x anyway. Those are
+    plain IEEE operations, so numpy computes them exactly; the rest go to libm.
+    """
+    out = -x - x * x * 0.5
+    wide = x >= LOG1P_TINY
+    out[wide] = _libm(math.log1p, -x[wide])
+    return out
+
+
 def _factor_logs(primes: np.ndarray, k: int) -> np.ndarray:
     """log (1 - p**-(k+1)) for each prime; all terms are negative."""
-    return _libm(math.log1p, -_libm(pow, primes.astype(np.float64), -(k + 1)))
+    return _log1p_neg(_libm(math.pow, primes.astype(np.float64), -(k + 1.0)))
 
 
 def _rhs_log(primes: np.ndarray) -> np.ndarray:
@@ -229,6 +251,14 @@ class SweepSummary:
     final_deviation: float
 
 
+def _doubling_chunks(n: int) -> Iterator[tuple[int, int]]:
+    """[lo, hi) chunks covering range(n) in order, FIRST_HOLD_CHUNK wide, then doubling."""
+    lo, width = 0, FIRST_HOLD_CHUNK
+    while lo < n:
+        yield lo, min(lo + width, n)
+        lo, width = lo + width, 2 * width
+
+
 def condition_sweep(
     m_max: int,
     ks: Sequence[int],
@@ -242,7 +272,10 @@ def condition_sweep(
     Every m reads the same prefix sums, term helpers and right-hand side as
     the one-shot functions, so row values are bit-identical to theirs at the
     same m. Rows are delivered m-major at the checkpoint cadence plus always
-    at m_max; first-hold tracking inspects every m regardless of cadence.
+    at m_max. First-hold tracking walks m in ascending order, in chunks that
+    double in size, up to the first m that holds, whatever the cadence; the
+    right-hand side is evaluated only on the chunks walked (shared by all k)
+    and at the rows.
     """
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
@@ -256,20 +289,26 @@ def condition_sweep(
     table = _table_for(m_max, table)
     primes = table.primes[:m_max]
     mert = prefix_sums(_mertens_terms(primes))
-    rhs = _rhs_log(primes)
     at = np.array([*range(checkpoint_every, m_max, checkpoint_every), m_max] if on_row else [],
                   dtype=np.intp) - 1
     first_hold: dict[int, int | None] = {}
+    rhs_chunks: dict[int, np.ndarray] = {}  # _rhs_log of each chunk walked so far, by its lo
     prods = np.empty((len(ks), at.size))  # prefix of log1p(-p**-(k+1)) at each row
     for j, k in enumerate(ks):
         prod = prefix_sums(_factor_logs(primes, k))
-        holds = mert + prod <= rhs
-        i = int(np.argmax(holds))
-        first_hold[k] = i + 1 if holds[i] else None
+        first_hold[k] = None
+        for lo, hi in _doubling_chunks(m_max):
+            if lo not in rhs_chunks:
+                rhs_chunks[lo] = _rhs_log(primes[lo:hi])
+            holds = mert[lo:hi] + prod[lo:hi] <= rhs_chunks[lo]
+            i = int(np.argmax(holds))
+            if holds[i]:
+                first_hold[k] = lo + i + 1
+                break
         prods[j] = prod[at]
-        del prod, holds
-    for col, i in enumerate(at.tolist()):
-        p, lm, rhs_m = int(primes[i]), float(mert[i]), float(rhs[i])
+        del prod
+    for col, (i, rhs_m) in enumerate(zip(at.tolist(), _rhs_log(primes[at]).tolist())):
+        p, lm = int(primes[i]), float(mert[i])
         dev = lm - rhs_m
         for k, prod_m in zip(ks, prods[:, col].tolist()):
             lhs = lm + prod_m
@@ -278,4 +317,4 @@ def condition_sweep(
                 deviation=dev, log_zeta_partial=-prod_m, deficit_holds=dev <= -prod_m,
             ))
     return SweepSummary(m_max=m_max, p_max=int(primes[-1]), first_hold=first_hold,
-                        final_deviation=float(mert[-1] - rhs[-1]))
+                        final_deviation=float(mert[-1]) - _rhs_at(m_max, table))

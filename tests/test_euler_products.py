@@ -2,9 +2,17 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
+from robinlab import euler_products
 from robinlab.euler_products import (
+    LOG1P_TINY,
+    _factor_logs,
+    _libm,
+    _log1p_neg,
+    _mertens_terms,
+    _rhs_log,
     condition_sweep,
     deficit_condition,
     mertens_deviation,
@@ -15,6 +23,7 @@ from robinlab.euler_products import (
     zeta_enclosure,
 )
 from robinlab.robin import EULER_GAMMA, EXP_GAMMA
+from robinlab.summation import prefix_sums
 
 ZETA2 = math.pi**2 / 6
 ZETA4 = math.pi**4 / 90
@@ -186,3 +195,108 @@ def test_sweep_stabilizes_for_k1(table7):
     held = [r.m for r in rows if r.holds]
     assert min(held) == 3
     assert all(r.holds for r in rows if r.m >= 3)
+
+
+def test_factor_logs_equal_libm(table7):
+    primes = table7.primes[: table7.pi(10**6)]
+    for k in (1, 2, 3, 4, 5, 60):
+        old = _libm(math.log1p, -_libm(pow, primes.astype(np.float64), -(k + 1)))
+        assert np.array_equal(_factor_logs(primes, k).view(np.int64), old.view(np.int64)), k
+
+
+def _tiny_edges():
+    up, down = (lambda x: math.nextafter(x, 1.0)), (lambda x: math.nextafter(x, 0.0))
+    return [LOG1P_TINY, up(LOG1P_TINY), down(LOG1P_TINY),
+            2.0**-54, up(2.0**-54), down(2.0**-54), 5e-324]
+
+
+def test_log1p_tiny_branch_equals_libm():
+    # glibc's own tiny branch, evaluated in numpy; another libm that rounds
+    # these differently must fail here, not be skipped
+    rng = np.random.default_rng(20121)
+    x = rng.integers(1, np.float64(LOG1P_TINY).view(np.uint64), size=1_000_000,
+                     dtype=np.uint64).view(np.float64)  # every binade in [2**-1074, 2**-29)
+    x = np.concatenate([x, [e for e in _tiny_edges() if e < LOG1P_TINY]])
+    libm = _libm(math.log1p, -x).view(np.int64)
+    assert np.array_equal((-x - x * x * 0.5).view(np.int64), libm)
+    assert np.array_equal(_log1p_neg(x).view(np.int64), libm)
+    edges = np.array(_tiny_edges() + [0.0, 0.25, 0.5, 1 - 2.0**-53])
+    assert np.array_equal(_log1p_neg(edges).view(np.int64),
+                          np.array([math.log1p(-e) for e in edges]).view(np.int64))
+
+
+def test_log1p_takes_libm_from_tiny_bound(monkeypatch):
+    seen = []
+
+    def spy(fn, values, *args):
+        seen.append((fn, values.tolist()))
+        return _libm(fn, values, *args)
+
+    monkeypatch.setattr(euler_products, "_libm", spy)
+    _log1p_neg(np.array(_tiny_edges()))
+    assert seen == [(math.log1p, [-LOG1P_TINY, -math.nextafter(LOG1P_TINY, 1.0)])]
+
+
+def _reference_sweep(table, m_max, ks):
+    # the full-vector form: right-hand side at every m, first hold by argmax
+    primes = table.primes[:m_max]
+    mert = prefix_sums(_mertens_terms(primes))
+    rhs = _rhs_log(primes)
+    prod = np.array([prefix_sums(_factor_logs(primes, k)) for k in ks]).T
+    holds = mert[:, None] + prod <= rhs[:, None]
+    first = holds.argmax(axis=0)
+    first_hold = {k: int(i) + 1 if holds[i, j] else None for j, (k, i) in enumerate(zip(ks, first))}
+    return mert, rhs, prod, first_hold
+
+
+def test_sweep_equals_full_vector_reference(table7):
+    ks, m_max = [1, 2, 3, 4, 5], 100_000
+    rows = []
+    summary = condition_sweep(m_max, ks, checkpoint_every=1, table=table7, on_row=rows.append)
+    mert, rhs, prod, first_hold = _reference_sweep(table7, m_max, ks)
+    assert summary.first_hold == first_hold == {1: 3, 2: 5, 3: 10, 4: 17, 5: 35}
+    assert summary.final_deviation == mert[-1] - rhs[-1]
+
+    def column(name):
+        return np.array([getattr(r, name) for r in rows]).reshape(m_max, len(ks))
+
+    m = np.arange(1, m_max + 1)[:, None]
+    assert np.array_equal(column("m"), np.broadcast_to(m, prod.shape))
+    assert np.array_equal(column("k"), np.broadcast_to(ks, prod.shape))
+    assert np.array_equal(column("p_m")[:, 0], table7.primes[:m_max])
+    lhs, dev = mert[:, None] + prod, (mert - rhs)[:, None]
+    for name, expect in [("lhs_log", lhs), ("rhs_log", rhs[:, None]), ("deviation", dev),
+                         ("log_zeta_partial", -prod), ("holds", lhs <= rhs[:, None]),
+                         ("deficit_holds", dev <= -prod)]:
+        got = column(name)
+        assert np.array_equal(got, np.broadcast_to(expect, got.shape)), name
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 17, 34])
+def test_first_hold_across_chunk_edges(table7, monkeypatch, width):
+    monkeypatch.setattr(euler_products, "FIRST_HOLD_CHUNK", width)
+    ks = [1, 2, 3, 4, 5]
+    expect = {1: 3, 2: 5, 3: 10, 4: 17, 5: 35}
+    for m_max in (35, 36, 100, 5000):
+        summary = condition_sweep(m_max, ks, table=table7)
+        assert summary.first_hold == expect, (width, m_max)
+    assert condition_sweep(34, ks, table=table7).first_hold == {**expect, 5: None}
+    assert condition_sweep(2, [1], table=table7).first_hold == {1: None}
+    assert condition_sweep(1, [1], table=table7).first_hold == {1: None}
+
+
+def test_sweep_reads_rhs_only_where_needed(table7, monkeypatch):
+    evaluated = []
+
+    def spy(primes):
+        evaluated.append(primes.size)
+        return _rhs_log(primes)
+
+    monkeypatch.setattr(euler_products, "_rhs_log", spy)
+    rows = []
+    summary = condition_sweep(664579, [1, 2, 3, 4, 5], checkpoint_every=100_000, table=table7,
+                              on_row=rows.append)
+    assert summary.first_hold == {1: 3, 2: 5, 3: 10, 4: 17, 5: 35}
+    assert len(rows) == 35
+    # one first chunk for every k, seven row values and the final deviation
+    assert sum(evaluated) == euler_products.FIRST_HOLD_CHUNK + 7 + 1
