@@ -187,39 +187,70 @@ class SigmaTable:
         return int(self.sigma[n])
 
 
-def _divisor_pair_sweep(sigma: np.ndarray, lo: int) -> None:
-    """Turn sigma[i] = lo + i into sigma(lo + i) in place, for lo >= 1.
+def sieve_dtype(n_max: int) -> np.dtype:
+    """Narrowest sieve buffer dtype, int32 or int64, for every n <= n_max.
 
-    Every divisor pair (d, n/d) with d <= sqrt(n) is added once: d = 1 by
-    one add over the window, and each d up to isqrt(hi - 1) as a strided
-    slice from its first multiple n >= max(d*d, lo).
+    sigma(n)/n is the sum of 1/d over the divisors d of n, at most the
+    harmonic number H_n < 1 + log n, and the pair sweep only adds positive
+    terms, so before its square fix-up an entry stays at or below
+    sigma(n) + sqrt(n). n_max * (1 + log n_max) + isqrt(n_max) bounds every
+    running sum; past int64 this is a CapacityError, not a silent wrap.
     """
-    hi = lo + sigma.size
-    if hi == lo:
+    n_max = max(n_max, 1)
+    bound = n_max * (1.0 + math.log(n_max)) + math.isqrt(n_max)
+    if bound < 2**31:
+        return np.dtype(np.int32)
+    if bound < 2**63:
+        return np.dtype(np.int64)
+    raise CapacityError(f"sigma sieve up to {n_max} could leave int64 (running sums up to {bound:.3g})")
+
+
+def _divisor_pair_sweep(sigma: np.ndarray, lo: int, step: int = 1) -> None:
+    """Turn sigma[i] = lo + step*i into sigma(lo + step*i) in place, for lo >= 1.
+
+    step is 1, or 2 for a buffer of odd n from an odd lo: odd n have only
+    odd divisors, so then only odd d and odd cofactors are walked. Every
+    divisor pair (d, n/d) with d <= sqrt(n) is added once: d = 1 by one add
+    over the buffer, and each d up to isqrt(last n) as a strided slice from
+    its first cofactor k >= max(d, lo/d) of the right parity. Each n of a
+    slice is d*k, the next one d*(k + step), step*d values on. The
+    transients take their dtype from sigma, whose range the caller checks
+    with sieve_dtype.
+    """
+    if sigma.size == 0:
         return
+    if step == 2 and lo % 2 == 0:
+        raise ValueError(f"an odd-n sweep needs an odd lo, got {lo}")
+    last = lo + step * (sigma.size - 1)
     sigma += 1  # pairs (1, n)
-    root = math.isqrt(hi - 1)
-    for d in range(2, root + 1):
-        first = max(d * d, -(-lo // d) * d)
-        if first < hi:
-            # pairs (d, k) for max(d, lo/d) <= k <= (hi-1) // d land on n = d*k
-            sigma[first - lo :: d] += np.arange(d + first // d, d + (hi - 1) // d + 1, dtype=np.int64)
+    root = math.isqrt(last)
+    for d in range(1 + step, root + 1, step):
+        k = max(d, -(-lo // d))
+        k += (k + 1) % step  # the first odd cofactor when step is 2
+        if d * k <= last:
+            # pairs (d, k), (d, k + step), ... up to k <= last // d land on n = d*k, ...
+            sigma[(d * k - lo) // step :: d] += np.arange(d + k, d + last // d + 1, step, dtype=sigma.dtype)
     # squares counted their root twice in the pair sweep above
-    roots = np.arange(math.isqrt(lo - 1) + 1, root + 1, dtype=np.int64)
-    sigma[roots * roots - lo] -= roots
+    first_root = math.isqrt(lo - 1) + 1
+    first_root += (first_root + 1) % step
+    roots = np.arange(first_root, root + 1, step, dtype=sigma.dtype)
+    sigma[(roots * roots - lo) // step] -= roots
 
 
 def sigma_window(lo: int, hi: int) -> np.ndarray:
     """Exact int64 sigma(n) for every n in [lo, hi), 1 <= lo <= hi.
 
     Costs 8 bytes per entry plus one transient of at most 4 bytes per
-    entry, whatever lo is, so windows near 1e9 need no more memory than
-    windows near 1. Time has one Python step per d up to isqrt(hi - 1), which
-    dominates narrow windows far from 1. The caller budgets the result;
-    sigma_sieve and scan_range do.
+    entry (the d = 2 slice's arange), whatever lo is, so windows near 1e9
+    need no more memory than windows near 1. Time has one Python step per
+    d up to isqrt(hi - 1), which dominates narrow windows far from 1. A
+    window whose sums could leave int64 (hi past about 2e17) raises
+    CapacityError before anything is sieved. The caller budgets the
+    result; sigma_sieve does.
     """
     if not 1 <= lo <= hi:
         raise ValueError(f"need 1 <= lo <= hi, got [{lo}, {hi})")
+    sieve_dtype(hi - 1)  # the domain check; the result stays int64 either way
     sigma = np.arange(lo, hi, dtype=np.int64)
     _divisor_pair_sweep(sigma, lo)
     return sigma
@@ -234,6 +265,7 @@ def sigma_sieve(limit: int) -> SigmaTable:
     """
     if limit < 1:
         raise ValueError(f"limit must be >= 1, got {limit}")
+    sieve_dtype(limit)  # the domain check; the table stays int64
     require_capacity(SIGMA_BYTES_PER_N * (limit + 1), f"divisor-sum table up to {limit}")
     sigma = np.arange(limit + 1, dtype=np.int64)  # sigma[0] stays 0
     _divisor_pair_sweep(sigma[1:], 1)

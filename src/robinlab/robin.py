@@ -16,13 +16,13 @@ from typing import Iterator
 import numpy as np
 
 from .arithmetic import (
-    SIGMA_BYTES_PER_N,
     Factorization,
     SigmaTable,
+    _divisor_pair_sweep,
     log_n_of,
+    sieve_dtype,
     sigma_ratio_of,
     sigma_sieve,  # noqa: F401  unused here, but bench/tracer.py wraps robin.sigma_sieve
-    sigma_window,
 )
 from .errors import require_capacity
 from .primes import table_for_count
@@ -43,14 +43,17 @@ SPECIAL_LOGLOG_NONPOSITIVE = "loglog_nonpositive"
 # logged so a human can look at it
 NEAR_TIE_BAND = 1e-12
 
-# scanned values per scan_range window; a scan holds one window's arrays at
-# a time, so its peak memory does not grow with hi
-SCAN_WINDOW = 1 << 18
+# scanned values per scan_range window; a scan holds one window's sigma at
+# a time, so its peak memory does not grow with hi. 2**19 int32 entries are
+# 2 MB, the L2 size of the machine this was tuned on
+SCAN_WINDOW = 1 << 19
+# scanned values per _scan_window call: the row math makes about a dozen
+# passes over its arrays, and at this size they stay in cache
+ROW_BLOCK = 1 << 15
 
-# peak transient bytes per scanned n of a window, as measured by
+# peak transient bytes per row of a _scan_window block, as measured by
 # tracemalloc: four float64 arrays (n -> log n -> sqrt(log n), sigma/n,
-# bound, delta) plus two byte masks; the window's sigma (SIGMA_BYTES_PER_N
-# per n it spans) comes on top
+# bound, delta) plus two byte masks; the window's sigma comes on top
 SCAN_BYTES_PER_N = 34
 
 
@@ -166,9 +169,11 @@ def _scan_window(
 ) -> tuple[list[RobinRow], list[RobinRow], list[int]]:
     """Violator rows, top rows and near ties of n = start + step * i, i < sig.size.
 
-    sig[i] is sigma(start + step * i). Every element goes through the same
-    numpy operations whatever the window, so rows do not depend on where
-    window boundaries fall.
+    sig[i] is sigma(start + step * i), int32 or int64; sig / n is the same
+    correctly rounded float64 from either. Every element goes through the
+    same numpy operations whatever the window or block, so rows do not
+    depend on where their boundaries fall. scan_range hands it ROW_BLOCK
+    values at a time.
     """
     # float64 n is exact below 2**53; the buffer then holds log n, sqrt(log n)
     work = np.arange(start, start + step * sig.size, step, dtype=np.float64)
@@ -211,13 +216,18 @@ def scan_range(
     """Scan [lo, hi] for bound violations using exact integer sigma.
 
     Works through windows of SCAN_WINDOW scanned values in ascending order.
-    Each window takes sigma(n) from a view of `table` when one is given and
-    from sigma_window otherwise; nothing else differs. Peak memory is one
-    window's: SCAN_BYTES_PER_N per scanned n in transients plus
-    SIGMA_BYTES_PER_N per n the window spans, checked against the budget
-    before anything is sieved, whatever hi is. n = 2 is skipped as the
-    special log log n < 0 case; violators are ascending, top rows are the
-    largest delta values, ties broken by smaller n.
+    Each window takes sigma(n) from a view of `table` when one is given;
+    otherwise the divisor-pair sweep sieves exactly the scanned n (only the
+    odd ones under odd_only) into a buffer of sieve_dtype(hi), int32 up to
+    hi of about 1.1e8 and int64 past it. The row math then runs over the
+    window in blocks of ROW_BLOCK values, so its arrays stay in cache.
+    Nothing else differs, and rows do not depend on where window or block
+    boundaries fall. Peak memory is one window's sieve (its entries plus
+    the half-width arange transient of d = 2) plus one block's
+    SCAN_BYTES_PER_N per row, checked against the budget before anything
+    is sieved, whatever hi is. n = 2 is skipped as the special
+    log log n < 0 case; violators are ascending, top rows are the largest
+    delta values, ties broken by smaller n.
     """
     if not 2 <= lo <= hi:
         raise ValueError(f"need 2 <= lo <= hi, got [{lo}, {hi}]")
@@ -229,7 +239,9 @@ def scan_range(
     step = 2 if odd_only else 1
     count = max(0, (hi - start) // step + 1)
     window = min(SCAN_WINDOW, count)
-    require_capacity((SCAN_BYTES_PER_N + SIGMA_BYTES_PER_N * step) * window,
+    dtype = sieve_dtype(hi)
+    sieve_bytes = 0 if table is not None else dtype.itemsize * (window + window // 2)
+    require_capacity(sieve_bytes + SCAN_BYTES_PER_N * min(ROW_BLOCK, window),
                      f"scan transients and sigma for a window of {window} values in [{lo}, {hi}]")
     violator_rows: list[RobinRow] = []
     top_rows: list[RobinRow] = []
@@ -237,15 +249,18 @@ def scan_range(
     for first in range(start, start + step * count, step * SCAN_WINDOW):
         last = min(hi, first + step * (SCAN_WINDOW - 1))
         if table is None:
-            sig = sigma_window(first, last + 1)[::step]
+            sig = np.arange(first, last + 1, step, dtype=dtype)
+            _divisor_pair_sweep(sig, first, step)
         else:
             sig = table.sigma[first : last + 1 : step]
-        viol, top, near = _scan_window(sig, first, step, top_k)
-        violator_rows += viol
-        near_ties += near
-        top_rows += top
-        if len(top_rows) > 2 * top_k:  # keeps the merge linear in the rows seen
-            top_rows = sorted(top_rows, key=_rank)[:top_k]
+        for b in range(0, sig.size, ROW_BLOCK):
+            viol, top, near = _scan_window(sig[b : b + ROW_BLOCK], first + step * b, step, top_k)
+            violator_rows += viol
+            near_ties += near
+            top_rows += top
+            if len(top_rows) > 2 * top_k:  # keeps the merge linear in the rows seen
+                top_rows = sorted(top_rows, key=_rank)[:top_k]
+        del sig  # free this window's sieve before the next one is allocated
     top_rows = sorted(top_rows, key=_rank)[: max(top_k, 0)]
     if near_ties:
         log.warning("scan [%d, %d]: %d values within %g of the bound: %s",

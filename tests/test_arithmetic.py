@@ -1,16 +1,20 @@
 """Factorization, divisor sums, and the exact sigma sieve."""
+import decimal
 import math
 import random
 
 import numpy as np
 import pytest
 
+import robinlab.arithmetic
 from robinlab.arithmetic import (
     Factorization,
+    _divisor_pair_sweep,
     factorize,
     is_prime,
     log_n_of,
     sigma_of,
+    sieve_dtype,
     sigma_ratio_of,
     sigma_sieve,
     sigma_window,
@@ -198,6 +202,83 @@ def test_sigma_window_far_from_origin():
     for lo in (10**9 - 50, 2**40 + 1, rng.randrange(10**12, 10**13)):
         got = sigma_window(lo, lo + 50)
         assert got.tolist() == [sigma_of(factorize(n)) for n in range(lo, lo + 50)], lo
+
+
+def _exact_sweep_bound(n):
+    # n * (1 + log n) + isqrt(n) to 40 digits, free of float rounding
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        return decimal.Decimal(n) * (1 + decimal.Decimal(n).ln()) + math.isqrt(n)
+
+
+# the largest n whose sieve buffer is int32, and int64
+INT32_EDGE = 110_034_809
+INT64_EDGE = 225_203_186_517_606_416
+
+
+def test_sieve_dtype_edges():
+    assert _exact_sweep_bound(INT32_EDGE) < 2**31 <= _exact_sweep_bound(INT32_EDGE + 1)
+    assert sieve_dtype(INT32_EDGE) == np.int32
+    assert sieve_dtype(INT32_EDGE + 1) == np.int64
+    assert sieve_dtype(0) == sieve_dtype(1) == sieve_dtype(10**7) == np.int32
+    # the float bound crosses 2**63 a few n before the exact one: int64 is
+    # only ever picked where the exact bound fits
+    assert _exact_sweep_bound(INT64_EDGE) < 2**63 <= _exact_sweep_bound(INT64_EDGE + 3)
+    assert sieve_dtype(INT64_EDGE) == np.int64
+    for n in (INT64_EDGE + 1, INT64_EDGE + 3, 2**62, 2**64):
+        with pytest.raises(CapacityError):
+            sieve_dtype(n)
+
+
+def test_sigma_window_past_int64_raises_before_sieving(monkeypatch):
+    def no_sweep(*args):
+        raise AssertionError("sieved past the int64 domain")
+
+    monkeypatch.setattr(robinlab.arithmetic, "_divisor_pair_sweep", no_sweep)
+    with pytest.raises(CapacityError):
+        sigma_window(2**62, 2**62 + 1)
+    with pytest.raises(CapacityError):
+        sigma_window(INT64_EDGE + 2, INT64_EDGE + 3)
+    with pytest.raises(CapacityError):
+        sigma_sieve(2**62)
+
+
+def _square_windows(rng, count, step):
+    # windows that start just below a square and end just past it
+    windows = []
+    for _ in range(count):
+        r = rng.randrange(2, 2000)
+        lo = max(1, r * r - rng.randrange(0, 300))
+        if step == 2:
+            lo |= 1
+        windows.append((lo, rng.randrange(1, 300)))
+    return windows
+
+
+def test_int32_sweep_equals_int64_window():
+    rng = random.Random(32)
+    windows = [(INT32_EDGE - 5000, 5001), (INT32_EDGE, 1), (1, 3000)] + _square_windows(rng, 40, 1)
+    for lo, width in windows:
+        sigma = np.arange(lo, lo + width, dtype=sieve_dtype(lo + width - 1))
+        assert sigma.dtype == np.int32
+        _divisor_pair_sweep(sigma, lo)
+        assert sigma.dtype == np.int32
+        assert sigma.tolist() == sigma_window(lo, lo + width).tolist(), (lo, width)
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_odd_sweep_equals_every_other_window_entry(dtype):
+    rng = random.Random(2)
+    windows = [(lo, w) for lo in (1, 3, 5, 17, 99, 10**6 + 1) for w in (0, 1, 2, 3, 64)]
+    windows += [(rng.randrange(1, 10**7) | 1, rng.randrange(1, 5000)) for _ in range(40)]
+    windows += [(INT32_EDGE - 4000, 2001)]
+    windows += _square_windows(rng, 40, 2)
+    for lo, width in windows:
+        sigma = np.arange(lo, lo + 2 * width, 2, dtype=dtype)
+        _divisor_pair_sweep(sigma, lo, 2)
+        assert sigma.tolist() == sigma_window(lo, lo + 2 * width)[::2].tolist(), (lo, width)
+    with pytest.raises(ValueError):
+        _divisor_pair_sweep(np.arange(4, 10, 2), 4, 2)
 
 
 def test_sigma_window_domain():

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 import robinlab.robin
-from robinlab.arithmetic import SIGMA_BYTES_PER_N, Factorization, SigmaTable, factorize, sigma_of, sigma_sieve
+from robinlab.arithmetic import (Factorization, SigmaTable, factorize, sieve_dtype, sigma_of, sigma_sieve,
+                                 sigma_window)
 from robinlab.errors import CapacityError, memory_budget_bytes
 from robinlab.robin import (
     EULER_GAMMA,
@@ -225,14 +226,19 @@ def test_top_k_ties_straddle_kth():
 
 
 def test_scan_budget_covers_transients(monkeypatch):
-    monkeypatch.setenv("ROBINLAB_MEM_BUDGET_MB", "2")  # table 0.8 MB, scan 3.4 MB
+    # table 0.8 MB; one row block 1.11 MB, plus 0.6 MB of int32 sieve without a table
+    monkeypatch.setenv("ROBINLAB_MEM_BUDGET_MB", "1")
     table = sigma_sieve(100_000)
     with pytest.raises(CapacityError, match="scan transients"):
         scan_range(3, 100_000, table=table)
     with pytest.raises(CapacityError, match="scan transients"):
         scan_range(3, 100_000)
-    # the odd half of a smaller window fits
+    # the odd half of a smaller window fits: 24999 rows, 0.85 MB
     assert scan_range(3, 100_001 // 2, odd_only=True, table=table).violators == [3, 5, 9]
+    # 29998 rows fit with a table (1.02 MB) but not with their sieve (1.20 MB)
+    assert scan_range(3, 30_000, table=table).violators == VIOLATORS
+    with pytest.raises(CapacityError, match="scan transients"):
+        scan_range(3, 30_000)
     monkeypatch.delenv("ROBINLAB_MEM_BUDGET_MB")
     assert SCAN_BYTES_PER_N * (10**7 - 2) + 8 * (10**7 + 1) <= memory_budget_bytes()
 
@@ -244,12 +250,12 @@ def test_scan_transients_within_budgeted_figure(sigma1e5):
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak <= SCAN_BYTES_PER_N * 99_998 + (1 << 16)
+    assert peak <= SCAN_BYTES_PER_N * min(robinlab.robin.ROW_BLOCK, 99_998) + (1 << 16)
 
 
 # the ranges of test_scan_rows_equal_reference_formula; one-value windows
-# cost a Python round trip per n (about 0.1 ms), so they stop the two
-# 1e5-wide ranges at 1e4
+# or row blocks cost a Python round trip per n (about 0.1 ms), so they stop
+# the two 1e5-wide ranges at 1e4
 _WINDOW_GRID = [(window, lo, min(hi, 10_000) if window == 1 else hi, odd_only)
                 for window in (1, 7, 4096)
                 for lo, hi, odd_only in [(3, 100_000, False), (17, 100_000, True),
@@ -281,16 +287,64 @@ def test_windowed_scan_without_table_equals_reference_formula(monkeypatch, sigma
     assert res.near_ties == []
 
 
-def test_scan_peak_is_one_window_without_table():
+def _scan_peak(lo, hi):
     tracemalloc.start()
     try:
-        scan_range(3, 10**6)
-        _, peak = tracemalloc.get_traced_memory()
+        scan_range(lo, hi)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def _one_window_figure(window, itemsize):
+    # the sieve and the d = 2 slice's half-width arange, plus one row block
+    block = min(robinlab.robin.ROW_BLOCK, window)
+    return itemsize * (window + window // 2) + SCAN_BYTES_PER_N * block + (1 << 16)
+
+
+def test_scan_peak_is_one_window_without_table():
     window = robinlab.robin.SCAN_WINDOW
-    assert window < 10**6 // 2  # the scan spans several windows
-    assert peak <= (SCAN_BYTES_PER_N + SIGMA_BYTES_PER_N) * window + (1 << 16)
+    assert window < 10**6  # the scan spans several windows
+    assert sieve_dtype(2 * 10**6) == np.int32
+    assert _scan_peak(3, 2 * 10**6) <= _one_window_figure(window, 4)
+
+
+def test_scan_past_int32_range_keeps_exact_sigma():
+    lo, hi = 10**9 - 1000, 10**9
+    rows = sorted(scan_range(lo, hi, top_k=hi - lo + 1).top_rows, key=lambda r: r.n)
+    expect = sigma_window(lo, hi + 1).tolist()
+    assert max(expect) >= 2**31  # these sums leave int32
+    assert [r.n for r in rows] == list(range(lo, hi + 1))
+    assert [r.sigma for r in rows] == expect
+
+
+def test_int64_scan_peak_is_one_window():
+    lo, hi = 10**9 - (1 << 18), 10**9
+    assert sieve_dtype(hi) == np.int64
+    assert _scan_peak(lo, hi) <= _one_window_figure(hi - lo + 1, 8)
+
+
+@pytest.mark.parametrize("block, lo, hi, odd_only", _WINDOW_GRID)
+@pytest.mark.parametrize("top_k", [0, 1, 10, 37, 200_000])
+def test_row_blocks_equal_reference_formula(monkeypatch, sigma1e5, block, lo, hi, odd_only, top_k):
+    monkeypatch.setattr(robinlab.robin, "ROW_BLOCK", block)
+    res = scan_range(lo, hi, odd_only=odd_only, table=sigma1e5, top_k=top_k)
+    violators, top = _reference_scan(sigma1e5, lo, hi, odd_only, top_k)
+    assert res.violator_rows == violators
+    assert res.top_rows == top
+    assert res.near_ties == []
+
+
+@pytest.mark.parametrize("window, block", [(4096, 1024), (5000, 7)])
+def test_row_blocks_within_sieved_windows(monkeypatch, sigma1e5, window, block):
+    # blocks that do and do not divide the window, over the int32 sieve
+    monkeypatch.setattr(robinlab.robin, "SCAN_WINDOW", window)
+    monkeypatch.setattr(robinlab.robin, "ROW_BLOCK", block)
+    for lo, hi, odd_only in [(3, 100_000, False), (17, 100_000, True)]:
+        res = scan_range(lo, hi, odd_only=odd_only, top_k=37)
+        violators, top = _reference_scan(sigma1e5, lo, hi, odd_only, 37)
+        assert res.violator_rows == violators
+        assert res.top_rows == top
 
 
 def test_top_k_tie_across_window_boundary_keeps_smaller_n(monkeypatch):
