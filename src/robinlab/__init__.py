@@ -13,9 +13,7 @@ from .arithmetic import (
     SigmaTable,
     factorize,
     is_prime,
-    log_n_of,
     sigma_of,
-    sigma_ratio_of,
     sigma_sieve,
 )
 from .errors import CapacityError
@@ -24,14 +22,12 @@ from .euler_products import (
     ConditionVerdict,
     DeficitVerdict,
     Interval,
-    ProductState,
     SweepSummary,
     condition_sweep,
     deficit_condition,
     mertens_deviation,
     mertens_product_log,
     product_condition,
-    product_state,
     tail_bound_log,
     zeta_enclosure,
 )
@@ -88,7 +84,6 @@ __all__ = [
     "GapSeriesState",
     "Interval",
     "PrimeTable",
-    "ProductState",
     "RAMANUJAN_LIMSUP",
     "BOUND_VARIANTS",
     "RobinEvaluation",
@@ -108,7 +103,6 @@ __all__ = [
     "factorize",
     "gap_term",
     "is_prime",
-    "log_n_of",
     "mertens_deviation",
     "mertens_product_log",
     "nth_prime",
@@ -116,14 +110,12 @@ __all__ = [
     "primes_in_range",
     "primes_up_to",
     "product_condition",
-    "product_state",
     "ramanujan_constant",
     "robin_check",
     "robin_delta",
     "scan_range",
     "series_scan",
     "sigma_of",
-    "sigma_ratio_of",
     "sigma_sieve",
     "table_for_count",
     "tail_bound_log",

@@ -2,7 +2,8 @@
 
 Factorization runs trial division by primes under 1000, then a deterministic
 Miller-Rabin primality test and Brent-cycle Pollard rho for what remains.
-All sigma values are exact integers; anything that would leave 64 bits is a
+All sigma values are exact integers. Factorization.divisor_sum has no size
+limit; everywhere else, anything that would leave 64 bits is a
 CapacityError rather than a silently wrong number.
 """
 
@@ -52,6 +53,13 @@ class Factorization:
         out = 1
         for q, e in self.factors:
             out *= q**e
+        return out
+
+    def divisor_sum(self) -> int:
+        """Exact sigma of the represented integer, at any size."""
+        out = 1
+        for q, e in self.factors:
+            out *= (q ** (e + 1) - 1) // (q - 1)
         return out
 
 
@@ -143,32 +151,14 @@ def sigma_of(f: Factorization) -> int:
     """Exact sum of divisors of the represented n.
 
     Both n and sigma(n) must stay below 2**64; otherwise CapacityError.
-    Callers probing huge exponent vectors should use sigma_ratio_of.
+    Factorization.divisor_sum has no such limit.
     """
-    n = 1
-    total = 1
-    for q, e in f.factors:
-        n *= q**e
-        if n >= U64_LIMIT:
-            raise CapacityError("represented n leaves 64 bits; use sigma_ratio_of")
-        total *= (q ** (e + 1) - 1) // (q - 1)
-        if total >= U64_LIMIT:
-            raise CapacityError("sigma(n) leaves 64 bits; use sigma_ratio_of")
+    if f.value() >= U64_LIMIT:
+        raise CapacityError("represented n leaves 64 bits")
+    total = f.divisor_sum()
+    if total >= U64_LIMIT:
+        raise CapacityError("sigma(n) leaves 64 bits")
     return total
-
-
-def sigma_ratio_of(f: Factorization) -> float:
-    """sigma(n)/n as a float product over prime powers, safe for huge n."""
-    ratio = 1.0
-    for q, e in f.factors:
-        qf = float(q)
-        ratio *= (1.0 - qf ** (-(e + 1))) / (1.0 - 1.0 / qf)
-    return ratio
-
-
-def log_n_of(f: Factorization) -> float:
-    """log n as the correctly rounded sum of e * log q."""
-    return math.fsum(e * math.log(q) for q, e in f.factors)
 
 
 @dataclass(frozen=True, eq=False)

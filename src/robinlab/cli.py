@@ -2,8 +2,8 @@
 
 Every subcommand writes machine-readable rows (CSV or JSON) to stdout or
 --out, with human summaries on stderr. Floats are serialized at 17
-significant digits and all computation orders are fixed, so output bytes do
-not depend on --threads or on repetition. Exit code 0 means the run
+significant digits and all computation orders are fixed, so reruns print
+the same bytes. Exit code 0 means the run
 completed (violations and failed conditions are data, not errors); exit
 code 2 means a configuration or capacity problem.
 """
@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import logging
 import sys
 from dataclasses import dataclass
@@ -26,10 +27,14 @@ from .gap_series import (
     theta_inequality_check,
 )
 from .primes import DEFAULT_SEGMENT_ODDS, chebyshev_theta, primes_up_to, table_for_count
-from .robin import extremal_candidates, robin_check, scan_range
+from .robin import extremal_candidates, robin_check, robin_check_batch, scan_range
 
 PAPER45_LIMIT = 10_000_000
 PAPER45_REFERENCE = 1.231
+# robin-extremal candidates per robin_check_batch call: one numpy call per
+# candidate doubles the row time, holding every candidate at once grows peak
+# memory with --budget
+EXTREMAL_CHUNK = 256
 
 CSV_HEADERS = {
     "primes": ["n", "p_n"],
@@ -48,7 +53,6 @@ CSV_HEADERS = {
 class RunConfig:
     limit: int | None = None
     format: str = "csv"
-    threads: int = 1
     segment_size: int = DEFAULT_SEGMENT_ODDS
     checkpoint_every: int | None = None
     output_path: str | None = None
@@ -56,8 +60,6 @@ class RunConfig:
     def validate(self) -> None:
         if self.format not in ("csv", "json"):
             raise ValueError(f"format must be csv or json, got {self.format!r}")
-        if self.threads < 1:
-            raise ValueError(f"--threads must be >= 1, got {self.threads}")
         if self.segment_size < (1 << 16) or self.segment_size & (self.segment_size - 1):
             raise ValueError(f"--segment-size must be a power of two >= 65536, got {self.segment_size}")
         if self.checkpoint_every is not None and self.checkpoint_every < 1:
@@ -209,12 +211,14 @@ def cmd_robin_eval(cfg: RunConfig, ns: Sequence[int]) -> int:
 
 
 def cmd_robin_extremal(cfg: RunConfig, m_max: int, budget: int, exponent_cap: int | None) -> int:
+    cands = extremal_candidates(m_max, budget, exponent_cap=exponent_cap)
+
     def body(sink: RowSink) -> None:
-        for cand in extremal_candidates(m_max, budget, exponent_cap=exponent_cap):
-            ev = robin_check(cand.factorization)
-            exps = " ".join(str(e) for _, e in cand.factorization.factors)
-            sink.write([ev.log_n, exps, ev.sigma_ratio, ev.robin_rhs_ratio, ev.delta,
-                        ev.violates, ev.special])
+        while fs := [c.factorization for c in itertools.islice(cands, EXTREMAL_CHUNK)]:
+            for f, ev in zip(fs, robin_check_batch(fs)):
+                exps = " ".join(str(e) for _, e in f.factors)
+                sink.write([ev.log_n, exps, ev.sigma_ratio, ev.robin_rhs_ratio, ev.delta,
+                            ev.violates, ev.special])
 
     rc = _run_with_sink(cfg, "robin-extremal", body)
     _info(f"robin-extremal: m_max={m_max} budget={budget}")
@@ -314,8 +318,6 @@ def cmd_theta_check(cfg: RunConfig, limit: int, c0_source: str | None, c0: float
 
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--format", choices=["csv", "json"], default="csv")
-    sub.add_argument("--threads", type=int, default=1,
-                     help="accepted for interface compatibility; results never depend on it")
     sub.add_argument("--segment-size", type=int, default=DEFAULT_SEGMENT_ODDS,
                      help="odd entries per sieve segment, power of two >= 65536")
     sub.add_argument("--checkpoint-every", type=int, default=None)
@@ -389,7 +391,6 @@ def config_from(args: argparse.Namespace) -> RunConfig:
     cfg = RunConfig(
         limit=getattr(args, "limit", None),
         format=args.format,
-        threads=args.threads,
         segment_size=args.segment_size,
         checkpoint_every=args.checkpoint_every,
         output_path=args.out,

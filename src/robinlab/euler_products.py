@@ -204,31 +204,6 @@ def zeta_enclosure(k: int, m: int, *, table: PrimeTable | None = None) -> Interv
 
 
 @dataclass(frozen=True)
-class ProductState:
-    """Snapshot of the product accumulators after the first m primes."""
-
-    m: int
-    p_m: int
-    log_mertens: float
-    deviation: float
-    k: int | None = None
-    log_zeta_partial: float | None = None
-
-
-def product_state(m: int, k: int | None = None, *, table: PrimeTable | None = None) -> ProductState:
-    if m < 1:
-        raise ValueError(f"m must be >= 1, got {m}")
-    table = _table_for(m, table)
-    lm = mertens_product_log(m, table=table)
-    lz = None
-    if k is not None:
-        _check_k(k)
-        lz = _log_zeta_partial(m, k, table)
-    return ProductState(m=m, p_m=table.nth(m), log_mertens=lm, deviation=lm - _rhs_at(m, table),
-                        k=k, log_zeta_partial=lz)
-
-
-@dataclass(frozen=True)
 class ConditionRow:
     """One sweep row; carries both forms of the check for cross-validation."""
 

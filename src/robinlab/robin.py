@@ -10,8 +10,9 @@ from __future__ import annotations
 import heapq
 import logging
 import math
+import sys
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -19,9 +20,7 @@ from .arithmetic import (
     Factorization,
     SigmaTable,
     _divisor_pair_sweep,
-    log_n_of,
     sieve_dtype,
-    sigma_ratio_of,
     sigma_sieve,  # noqa: F401  unused here, but bench/tracer.py wraps robin.sigma_sieve
 )
 from .errors import require_capacity
@@ -56,6 +55,9 @@ ROW_BLOCK = 1 << 15
 # bound, delta) plus two byte masks; the window's sigma comes on top
 SCAN_BYTES_PER_N = 34
 
+# the largest int that float() rounds to a finite value
+_FLOAT_MAX_INT = int(sys.float_info.max)
+
 
 def ramanujan_constant() -> float:
     """Limsup of the normalized excess (sigma/n - bound) * sqrt(log n)."""
@@ -73,15 +75,65 @@ class RobinEvaluation:
     special: str
 
 
-def robin_bound_ratio(log_n: float) -> float:
-    """exp(gamma) * log log n given log n > 0."""
-    if log_n <= 0:
-        raise ValueError(f"needs log n > 0, got {log_n}")
-    return EXP_GAMMA * math.log(log_n)
-
-
 def _is_at_least_3(f: Factorization) -> bool:
     return bool(f.factors) and f.factors != ((2, 1),)
+
+
+def log_of(n: int) -> float:
+    """log n of an exact integer n >= 1, the one log n every row here uses.
+
+    numpy's log of the nearest float while n has one, which is the value the
+    scan's vector np.log gives at every position; past float range, math.log
+    of the int itself.
+    """
+    if n <= _FLOAT_MAX_INT:
+        return float(np.log(np.float64(n)))
+    return math.log(n)
+
+
+def bound_columns(log_n: np.ndarray, ratio: np.ndarray) -> tuple[np.ndarray, ...]:
+    """bound, delta, violates and near-tie masks of rows with these log n and sigma(n)/n.
+
+    The one row formula: bound = exp(gamma) log log n, delta = (ratio -
+    bound) * sqrt(log n), violates = ratio > bound (exact ties are not
+    violations), near = |ratio - bound| < NEAR_TIE_BAND. log_n is
+    overwritten with sqrt(log n), so a caller's work buffer is reused and
+    the peak is four float64 arrays and two byte masks per row.
+    """
+    bound = np.log(log_n)
+    bound *= EXP_GAMMA
+    delta = ratio - bound
+    near = delta < NEAR_TIE_BAND
+    near &= delta > -NEAR_TIE_BAND
+    violates = ratio > bound
+    delta *= np.sqrt(log_n, out=log_n)
+    return bound, delta, violates, near
+
+
+def robin_check_batch(fs: Sequence[Factorization]) -> list[RobinEvaluation]:
+    """robin_check of every factorization, with one bound_columns call for all.
+
+    Each row takes the exact integer quotient sigma(n) / n, correctly
+    rounded at any size, and log_of(n). The scan's sig / n is the same
+    quotient while sigma(n) < 2**53, so there the two rows are equal bit for
+    bit. Rows do not depend on the batch.
+    """
+    if any(f.is_unit for f in fs):
+        raise ValueError("n = 1 has no log log n; nothing to check")
+    ns = [f.value() for f in fs]
+    logs = [log_of(n) for n in ns]
+    ratios = [f.divisor_sum() / n for f, n in zip(fs, ns)]
+    loglogs = np.log(logs).tolist()  # the log log n inside bound_columns
+    bound, delta, violates, near = bound_columns(np.array(logs), np.array(ratios))
+    out = []
+    for i, log_n in enumerate(logs):
+        special = SPECIAL_NORMAL if loglogs[i] > 0 else SPECIAL_LOGLOG_NONPOSITIVE
+        if special == SPECIAL_NORMAL and near[i]:
+            log.warning("near tie at n with log_n=%.17g: |ratio-bound|=%.3e", log_n, abs(ratios[i] - bound[i]))
+        out.append(RobinEvaluation(log_n=log_n, loglog_n=loglogs[i], sigma_ratio=ratios[i],
+                                   robin_rhs_ratio=float(bound[i]), delta=float(delta[i]),
+                                   violates=bool(violates[i]), special=special))
+    return out
 
 
 def robin_check(f: Factorization) -> RobinEvaluation:
@@ -89,28 +141,10 @@ def robin_check(f: Factorization) -> RobinEvaluation:
 
     n = 2 has log log n < 0, which makes the bound negative and the
     comparison trivially true; that case is flagged as special rather than
-    treated as evidence. Exact ties count as non-violations.
+    treated as evidence. Exact ties count as non-violations. The row is
+    robin_check_batch's, which is the scan's row for the same n.
     """
-    if f.is_unit:
-        raise ValueError("n = 1 has no log log n; nothing to check")
-    log_n = log_n_of(f)
-    loglog_n = math.log(log_n)
-    sigma_ratio = sigma_ratio_of(f)
-    bound = EXP_GAMMA * loglog_n
-    special = SPECIAL_NORMAL if loglog_n > 0 else SPECIAL_LOGLOG_NONPOSITIVE
-    delta = (sigma_ratio - bound) * math.sqrt(log_n)
-    violates = sigma_ratio > bound
-    if special == SPECIAL_NORMAL and abs(sigma_ratio - bound) < NEAR_TIE_BAND:
-        log.warning("near tie at n with log_n=%.17g: |ratio-bound|=%.3e", log_n, abs(sigma_ratio - bound))
-    return RobinEvaluation(
-        log_n=log_n,
-        loglog_n=loglog_n,
-        sigma_ratio=sigma_ratio,
-        robin_rhs_ratio=bound,
-        delta=delta,
-        violates=violates,
-        special=special,
-    )
+    return robin_check_batch([f])[0]
 
 
 def robin_delta(f: Factorization) -> float:
@@ -169,26 +203,23 @@ def _scan_window(
 ) -> tuple[list[RobinRow], list[RobinRow], list[int]]:
     """Violator rows, top rows and near ties of n = start + step * i, i < sig.size.
 
-    sig[i] is sigma(start + step * i), int32 or int64; sig / n is the same
-    correctly rounded float64 from either. Every element goes through the
-    same numpy operations whatever the window or block, so rows do not
-    depend on where their boundaries fall. scan_range hands it ROW_BLOCK
-    values at a time.
+    sig[i] is sigma(start + step * i), int32 or int64. sig / n is one IEEE
+    division of two exact values while sigma(n) < 2**53, so it is the
+    correctly rounded quotient robin_check takes, and the columns come from
+    the same bound_columns. Every element goes through the same numpy
+    operations whatever the window or block, so rows do not depend on
+    where their boundaries fall. scan_range hands it ROW_BLOCK values at a
+    time.
     """
     # float64 n is exact below 2**53; the buffer then holds log n, sqrt(log n)
     work = np.arange(start, start + step * sig.size, step, dtype=np.float64)
     ratio = sig / work
     np.log(work, out=work)
-    bound = np.log(work)
-    bound *= EXP_GAMMA
-    delta = ratio - bound
-    viol_idx = np.flatnonzero(ratio > bound)
-    near = delta < NEAR_TIE_BAND
-    near &= delta > -NEAR_TIE_BAND
-    near_idx = np.flatnonzero(near)
-    del near
-    delta *= np.sqrt(work, out=work)
+    bound, delta, violates, near = bound_columns(work, ratio)
     del work  # top_k_indices partitions a copy of delta in its place
+    viol_idx = np.flatnonzero(violates)
+    near_idx = np.flatnonzero(near)
+    del violates, near
 
     def row(i: int) -> RobinRow:
         return RobinRow(
@@ -285,7 +316,7 @@ def bound_rhs(variant: str, f: Factorization, c: float = 1.0) -> float:
         raise ValueError(f"constant must be >= 1, got {c}")
     if f.is_unit:
         raise ValueError("bounds are defined for n >= 2")
-    log_n = log_n_of(f)
+    log_n = log_of(f.value())
     if variant == VARIANT_SCALED:
         return EXP_GAMMA * math.log(math.log(c) + log_n)
     if variant not in BOUND_VARIANTS:
@@ -321,8 +352,10 @@ def extremal_candidates(
 
     Non-increasing exponent vectors over consecutive first primes are exactly
     the shapes that can maximize sigma(n)/n for their size, so scans for
-    extreme delta values only need these. Enumeration is a min-heap walk on
-    log n; every successor adds one exponent, so the heap order is global.
+    extreme delta values only need these. Enumeration is a min-heap walk
+    keyed on log_of(n), the log n their rows print, so printed log n never
+    decreases; every successor multiplies n by one prime, so the heap order
+    is global.
     """
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
@@ -332,29 +365,25 @@ def extremal_candidates(
         return
     table = table_for_count(m_max)
     plist = [table.nth(i + 1) for i in range(m_max)]
-    logs = [math.log(p) for p in plist]
+    heap: list[tuple[float, tuple[int, ...]]] = []
+    seen: set[tuple[int, ...]] = set()
 
-    def log_n(exps: tuple[int, ...]) -> float:
-        return math.fsum(e * lg for e, lg in zip(exps, logs))
+    def push(exps: tuple[int, ...], n: int) -> None:
+        if exps not in seen:
+            seen.add(exps)
+            heapq.heappush(heap, (log_of(n), exps))
 
-    start = (1,)
-    heap: list[tuple[float, tuple[int, ...]]] = [(logs[0], start)]
-    seen = {start}
+    push((1,), plist[0])
     emitted = 0
     while heap and emitted < budget:
         _, exps = heapq.heappop(heap)
         fz = Factorization(tuple((plist[i], e) for i, e in enumerate(exps)))
         yield ExtremalCandidate(factorization=fz, exponent_cap=exponent_cap)
         emitted += 1
+        n = fz.value()
         m = len(exps)
         for i in range(m):
             if (i == 0 or exps[i - 1] > exps[i]) and (exponent_cap is None or exps[i] < exponent_cap):
-                nxt = exps[:i] + (exps[i] + 1,) + exps[i + 1 :]
-                if nxt not in seen:
-                    seen.add(nxt)
-                    heapq.heappush(heap, (log_n(nxt), nxt))
+                push(exps[:i] + (exps[i] + 1,) + exps[i + 1 :], n * plist[i])
         if m < m_max:
-            nxt = exps + (1,)
-            if nxt not in seen:
-                seen.add(nxt)
-                heapq.heappush(heap, (log_n(nxt), nxt))
+            push(exps + (1,), n * plist[m])

@@ -2,6 +2,7 @@
 import decimal
 import math
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -12,14 +13,13 @@ from robinlab.arithmetic import (
     _divisor_pair_sweep,
     factorize,
     is_prime,
-    log_n_of,
     sigma_of,
     sieve_dtype,
-    sigma_ratio_of,
     sigma_sieve,
     sigma_window,
 )
 from robinlab.errors import CapacityError
+from robinlab.robin import log_of, robin_check
 
 
 def _sigma_by_enumeration(n):
@@ -95,24 +95,45 @@ def test_sigma_of_overflow():
 
 
 def test_sigma_ratio():
-    assert sigma_ratio_of(factorize(1)) == 1.0
-    r = sigma_ratio_of(Factorization(((7, 1),)))
-    assert math.isclose(r, 8 / 7, rel_tol=1e-15)
+    # sigma(n)/n of a row is the exact integer quotient, correctly rounded
+    with pytest.raises(ValueError):
+        robin_check(factorize(1))  # n = 1 has no row
+    assert factorize(1).divisor_sum() == 1
+    r = robin_check(Factorization(((7, 1),))).sigma_ratio
+    assert r == 8 / 7
     assert r <= 1 + 1 / 6 + 1e-15
-    assert math.isclose(sigma_ratio_of(factorize(5040)), 19344 / 5040, rel_tol=1e-14)
+    assert robin_check(factorize(5040)).sigma_ratio == 19344 / 5040
 
 
 def test_log_n():
-    assert log_n_of(factorize(1)) == 0.0
-    assert math.isclose(log_n_of(factorize(2)), math.log(2), rel_tol=1e-15)
-    assert math.isclose(log_n_of(factorize(5040)), math.log(5040), rel_tol=1e-14)
+    assert log_of(1) == 0.0
+    assert math.isclose(robin_check(factorize(2)).log_n, math.log(2), rel_tol=1e-15)
+    assert math.isclose(robin_check(factorize(5040)).log_n, math.log(5040), rel_tol=1e-14)
 
 
 def test_log_n_without_materializing():
     # exponent vector far beyond 64 bits stays finite and accurate
     f = Factorization(((2, 100), (3, 60), (5, 40), (7, 20)))
     expect = 100 * math.log(2) + 60 * math.log(3) + 40 * math.log(5) + 20 * math.log(7)
-    assert math.isclose(log_n_of(f), expect, rel_tol=1e-14)
+    ev = robin_check(f)
+    assert math.isclose(ev.log_n, expect, rel_tol=1e-14)
+    assert ev.sigma_ratio == f.divisor_sum() / f.value()
+
+
+def test_log_past_float_range_against_decimal():
+    # past float range log_of takes math.log of the int itself, within an ulp
+    # of the 40-digit value; the last int with a float takes the numpy branch
+    big = int(sys.float_info.max)
+    with decimal.localcontext() as ctx:
+        ctx.prec = 40
+        for n in (big, big + 1, 2**1024, 3**700 + 1, 10**400 - 1, 2**5000 * 3**7, 7**3000):
+            got = log_of(n)
+            if n > big:
+                assert got == math.log(n), n
+            assert abs(decimal.Decimal(got) - decimal.Decimal(n).ln()) <= decimal.Decimal(math.ulp(got)), n
+    ev = robin_check(Factorization(((2, 1100), (3, 5))))
+    assert ev.log_n == log_of(2**1100 * 3**5)
+    assert ev.sigma_ratio == (2**1101 - 1) * 364 / (2**1100 * 3**5)
 
 
 def test_sigma_sieve_basics():
@@ -174,8 +195,13 @@ def test_ratio_and_log_consistency(sigma1e5):
     rng = random.Random(99)
     for n in [1, 2, 5040, 100_000] + [rng.randrange(2, 100_001) for _ in range(400)]:
         f = factorize(n)
-        assert abs(sigma_ratio_of(f) - sigma1e5.of(n) / n) <= 1e-12
-        assert abs(log_n_of(f) - math.log(n)) <= 1e-12
+        if n == 1:
+            with pytest.raises(ValueError):
+                robin_check(f)
+            continue
+        ev = robin_check(f)
+        assert ev.sigma_ratio == sigma1e5.of(n) / n
+        assert abs(ev.log_n - math.log(n)) <= 1e-12
 
 
 def test_sigma_window_equals_table_slice():

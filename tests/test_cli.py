@@ -2,6 +2,7 @@
 import json
 import math
 
+import robinlab.cli
 import robinlab.robin
 from robinlab.arithmetic import factorize, sigma_of
 from robinlab.cli import main
@@ -30,8 +31,34 @@ def test_robin_eval_values(run_cli):
     assert cp.returncode == 0
     lines = cp.stdout.splitlines()
     assert lines[0] == "n,sigma,sigma_ratio,bound_ratio,delta,violates"
-    assert lines[1] == "5040,19344,3.8380952380952378,3.8168772880285116,0.061951913795248982,true"
+    assert lines[1] == "5040,19344,3.8380952380952382,3.8168772880285116,0.06195191379525028,true"
     assert lines[2] == "5041,5113,1.0142828803808768,3.816918735715479,-8.1831974647971428,false"
+
+
+def test_robin_eval_prints_scan_rows(run_cli):
+    # one row per n: every line the scan prints, robin-eval prints for that n
+    scan = run_cli(["robin-scan", "--lo", "5000", "--hi", "5040"])
+    ev = run_cli(["robin-eval", *map(str, range(5000, 5041))])
+    assert scan.returncode == 0 and ev.returncode == 0
+    by_n = {line.split(",")[0]: line for line in ev.stdout.splitlines()[1:]}
+    assert len(by_n) == 41
+    scanned = scan.stdout.splitlines()[1:]
+    assert len(scanned) == 11  # 5040, then the ten largest excesses
+    for line in scanned:
+        assert by_n[line.split(",")[0]] == line
+
+
+def test_robin_extremal_chunks_do_not_change_rows(capsys, monkeypatch):
+    args = ["robin-extremal", "--m-max", "8", "--budget", "300"]
+    outputs = []
+    for chunk in (300, 1, 7):
+        monkeypatch.setattr(robinlab.cli, "EXTREMAL_CHUNK", chunk)
+        assert main(args) == 0
+        outputs.append(capsys.readouterr().out)
+    assert len(outputs[0].splitlines()) == 301
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+    log_n = [float(line.split(",")[0]) for line in outputs[0].splitlines()[1:]]
+    assert log_n == sorted(log_n)  # the walk's heap key is the printed log n
 
 
 def test_robin_eval_rejects_unit(run_cli):
@@ -140,17 +167,16 @@ def test_out_file_matches_stdout(run_cli, tmp_path):
     assert path.read_text() == direct.stdout
 
 
-def test_threads_flag_never_changes_output(run_cli):
+def test_reruns_never_change_output(run_cli):
     args = ["condition7", "--m-max", "50", "--k", "1,2"]
-    one = run_cli([*args, "--threads", "1"])
-    five = run_cli([*args, "--threads", "5"])
-    assert one.stdout == five.stdout
-    assert one.stderr == five.stderr
+    one = run_cli(args)
+    two = run_cli(args)
+    assert one.stdout == two.stdout
+    assert one.stderr == two.stderr
 
 
 def test_bad_configs_exit_2(run_cli):
     cases = [
-        ["primes", "--limit", "100", "--threads", "0"],
         ["primes", "--limit", "100", "--segment-size", "1000"],
         ["primes", "--limit", "100", "--checkpoint-every", "0"],
         ["theta-check", "--limit", "100", "--c0", "1", "--c0-source", "series_sup"],
@@ -163,6 +189,9 @@ def test_bad_configs_exit_2(run_cli):
     cp = run_cli(["primes", "--limit", "100", "--format", "xml"])
     assert cp.returncode == 2
     assert "invalid choice" in cp.stderr
+    cp = run_cli(["primes", "--limit", "100", "--threads", "0"])  # no such option
+    assert cp.returncode == 2
+    assert "unrecognized arguments: --threads 0" in cp.stderr
 
 
 def test_memory_budget_env(run_cli):

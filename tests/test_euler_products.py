@@ -18,7 +18,6 @@ from robinlab.euler_products import (
     mertens_deviation,
     mertens_product_log,
     product_condition,
-    product_state,
     tail_bound_log,
     zeta_enclosure,
 )
@@ -150,16 +149,6 @@ def test_enclosure_fourth_power(table7):
     iv = zeta_enclosure(3, 10, table=table7)
     assert iv.lo <= ZETA4 <= iv.hi
     assert iv.hi - iv.lo < 1e-4
-
-
-def test_product_state(table7):
-    st = product_state(4, 1, table=table7)
-    assert st.m == 4 and st.p_m == 7 and st.k == 1
-    assert st.log_mertens == mertens_product_log(4, table=table7)
-    assert st.deviation == mertens_deviation(4, table=table7)
-    assert math.isclose(math.exp(st.log_zeta_partial),
-                        zeta_enclosure(1, 4, table=table7).lo, rel_tol=1e-14)
-    assert product_state(4, table=table7).log_zeta_partial is None
 
 
 def test_sweep_summary(table7):

@@ -1,4 +1,5 @@
 """Divisor-bound evaluation, range scans, and extremal candidate walks."""
+import itertools
 import math
 import tracemalloc
 
@@ -19,6 +20,7 @@ from robinlab.robin import (
     extremal_candidates,
     ramanujan_constant,
     robin_check,
+    robin_check_batch,
     robin_delta,
     scan_range,
     top_k_indices,
@@ -172,6 +174,41 @@ def test_scan_agrees_with_direct_check(sigma1e5):
         ev = robin_check(factorize(n))
         assert ev.violates == (n in flagged), n
         assert ev.violates == (ev.delta > 0), n
+
+
+def _factorizations(limit):
+    # every n in [3, limit] from a smallest-prime-factor table; a descending
+    # pass leaves each entry at its smallest prime
+    spf = np.arange(limit + 1)
+    for p in range(math.isqrt(limit), 1, -1):
+        spf[p * p :: p] = p
+    spf = spf.tolist()
+    out = []
+    for n in range(3, limit + 1):
+        counts = {}
+        while n > 1:
+            counts[spf[n]] = counts.get(spf[n], 0) + 1
+            n //= spf[n]
+        out.append(Factorization(tuple(sorted(counts.items()))))
+    return out
+
+
+def test_scan_rows_equal_check_rows(sigma1e5):
+    # one row per n: the scan and robin_check print the same bits for every n
+    limit = 100_000
+    rows = sorted(scan_range(3, limit, table=sigma1e5, top_k=limit).top_rows, key=lambda r: r.n)
+    assert [r.n for r in rows] == list(range(3, limit + 1))
+    fs = _factorizations(limit)
+
+    def same(row, ev):
+        return (row.sigma_ratio, row.bound_ratio, row.delta, row.violates) == (
+            ev.sigma_ratio, ev.robin_rhs_ratio, ev.delta, ev.violates)
+
+    for row, f, ev in zip(rows, fs, robin_check_batch(fs)):
+        assert f.value() == row.n and same(row, ev), row
+    # the 1-element calls robin-eval makes; every 10th n keeps the suite's time
+    for row, f in zip(rows[::10], fs[::10]):
+        assert same(row, robin_check(f)), row
 
 
 def test_scan_domain(sigma1e5):
@@ -434,11 +471,13 @@ def test_extremal_dominates_scan_delta(sigma1e5):
 
 def test_extremal_no_violations_between_logs_10_and_50():
     checked = 0
-    for cand in extremal_candidates(18, 10_000_000):
-        ev = robin_check(cand.factorization)
-        if ev.log_n > 50.0:
+    cands = extremal_candidates(18, 10_000_000)
+    while fs := [c.factorization for c in itertools.islice(cands, 4096)]:
+        evs = robin_check_batch(fs)
+        for f, ev in zip(fs, evs):
+            if 10.0 <= ev.log_n <= 50.0:
+                checked += 1
+                assert not ev.violates, f.factors
+        if evs[-1].log_n > 50.0:
             break
-        if ev.log_n >= 10.0:
-            checked += 1
-            assert not ev.violates, cand.factorization.factors
     assert checked > 90_000  # exhaustive walk of the shape family in range
