@@ -57,7 +57,6 @@ from .robin import (
     EXP_GAMMA,
     RAMANUJAN_LIMSUP,
     BOUND_VARIANTS,
-    ExtremalCandidate,
     RobinEvaluation,
     RobinRow,
     ScanResult,
@@ -78,7 +77,6 @@ __all__ = [
     "DeficitVerdict",
     "EULER_GAMMA",
     "EXP_GAMMA",
-    "ExtremalCandidate",
     "Factorization",
     "GapCheckpoint",
     "GapSeriesState",

@@ -23,6 +23,12 @@ SIGMA_BYTES_PER_N = 8
 _TRIAL_PRIMES = tuple(int(p) for p in _small_primes(999))
 # witness set proven sufficient for every n < 3.3e24, far past 2**64
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# float nearest the Euler-Mascheroni constant, and exp of exactly that float
+EULER_GAMMA = 0.5772156649015329
+EXP_GAMMA = math.exp(EULER_GAMMA)
+# sigma(n)/n < exp(gamma) log log n + ROBIN_1984_C / log log n for n >= 3
+# (Robin 1984: equality at n = 12 with 0.6482...)
+ROBIN_1984_C = 0.6483
 
 
 @dataclass(frozen=True)
@@ -43,6 +49,13 @@ class Factorization:
             if e < 1:
                 raise ValueError(f"exponents must be >= 1, got {self.factors}")
             last = q
+
+    @classmethod
+    def _unchecked(cls, factors: tuple[tuple[int, int], ...]) -> Factorization:
+        """A Factorization whose producer built it valid, without the checks."""
+        f = object.__new__(cls)
+        object.__setattr__(f, "factors", factors)
+        return f
 
     @property
     def is_unit(self) -> bool:
@@ -180,14 +193,19 @@ class SigmaTable:
 def sieve_dtype(n_max: int) -> np.dtype:
     """Narrowest sieve buffer dtype, int32 or int64, for every n <= n_max.
 
-    sigma(n)/n is the sum of 1/d over the divisors d of n, at most the
-    harmonic number H_n < 1 + log n, and the pair sweep only adds positive
-    terms, so before its square fix-up an entry stays at or below
-    sigma(n) + sqrt(n). n_max * (1 + log n_max) + isqrt(n_max) bounds every
-    running sum; past int64 this is a CapacityError, not a silent wrap.
+    By Robin's unconditional bound sigma(n) < n * g(n) with g(n) = exp(gamma)
+    log log n + ROBIN_1984_C / log log n for n >= 3, and n * g(n) increases
+    from n = 7 on, where it already exceeds every sigma(n) + sqrt(n) of
+    n < 7. The pair sweep only adds positive terms, so before its square
+    fix-up an entry stays at or below sigma(n) + sqrt(n), and n_max *
+    g(n_max) + isqrt(n_max) bounds every running sum: int32 up to n_max =
+    388129549, int64 up to about 1.35e18, and past that a CapacityError,
+    not a silent wrap.
     """
-    n_max = max(n_max, 1)
-    bound = n_max * (1.0 + math.log(n_max)) + math.isqrt(n_max)
+    if n_max < 7:
+        return np.dtype(np.int32)
+    loglog = math.log(math.log(n_max))
+    bound = n_max * (EXP_GAMMA * loglog + ROBIN_1984_C / loglog) + math.isqrt(n_max)
     if bound < 2**31:
         return np.dtype(np.int32)
     if bound < 2**63:
@@ -234,7 +252,7 @@ def sigma_window(lo: int, hi: int) -> np.ndarray:
     entry (the d = 2 slice's arange), whatever lo is, so windows near 1e9
     need no more memory than windows near 1. Time has one Python step per
     d up to isqrt(hi - 1), which dominates narrow windows far from 1. A
-    window whose sums could leave int64 (hi past about 2e17) raises
+    window whose sums could leave int64 (hi past about 1.35e18) raises
     CapacityError before anything is sieved. The caller budgets the
     result; sigma_sieve does.
     """

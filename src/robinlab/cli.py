@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import itertools
 import logging
 import sys
@@ -27,13 +28,13 @@ from .gap_series import (
     theta_inequality_check,
 )
 from .primes import DEFAULT_SEGMENT_ODDS, chebyshev_theta, primes_up_to, table_for_count
-from .robin import extremal_candidates, robin_check, robin_check_batch, scan_range
+from .robin import extremal_candidates, robin_check, robin_columns, scan_range
 
 PAPER45_LIMIT = 10_000_000
 PAPER45_REFERENCE = 1.231
-# robin-extremal candidates per robin_check_batch call: one numpy call per
-# candidate doubles the row time, holding every candidate at once grows peak
-# memory with --budget
+# robin-extremal candidates per robin_columns call and per write_columns
+# write: one numpy call per candidate doubles the row time, holding every
+# candidate or the whole output at once grows peak memory with --budget
 EXTREMAL_CHUNK = 256
 
 CSV_HEADERS = {
@@ -74,6 +75,18 @@ def fmt_value(v: object) -> str:
     return str(v)
 
 
+def fmt_column(values: Sequence[object]) -> list[str]:
+    """[fmt_value(v) for v in values], one pass per column of a single exact type."""
+    kinds = set(map(type, values))
+    if kinds == {float}:
+        return [f"{v:.17g}" for v in values]
+    if kinds == {bool}:
+        return ["true" if v else "false" for v in values]
+    if kinds == {int} or kinds == {str}:
+        return list(map(str, values))
+    return [fmt_value(v) for v in values]
+
+
 class RowSink:
     """Writes rows as CSV (with header) or as a JSON array of objects."""
 
@@ -101,6 +114,32 @@ class RowSink:
                 body = fmt_value(v)
             fields.append(f'"{name}": {body}')
         self._json_rows.append("  {" + ", ".join(fields) + "}")
+
+    def write_columns(self, columns: Sequence[Sequence[object]]) -> None:
+        """The rows zip(*columns), the same bytes as one write per row.
+
+        CSV formats each column once and writes the chunk in one
+        stream.write. The fields are joined as they are unless one of them
+        holds a comma, quote or line break; then the csv module quotes them
+        as write does. JSON takes the row path.
+        """
+        rows = len(columns[0]) if columns else 0
+        if len(columns) != len(self.columns):
+            raise ValueError(f"got {len(columns)} columns, header has {len(self.columns)}")
+        if any(len(c) != rows for c in columns):
+            raise ValueError(f"columns differ in length: {[len(c) for c in columns]}")
+        if self._csv is None:
+            for row in zip(*columns):
+                self.write(row)
+            return
+        texts = [fmt_column(c) for c in columns]
+        body = "".join([",".join(row) + "\n" for row in zip(*texts)])
+        if (len(texts) < 2 or '"' in body or "\r" in body or body.count("\n") != rows
+                or body.count(",") != rows * (len(texts) - 1)):
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="\n").writerows(zip(*texts))
+            body = buf.getvalue()
+        self.stream.write(body)
 
     def finish(self) -> None:
         if self._csv is None:
@@ -214,11 +253,10 @@ def cmd_robin_extremal(cfg: RunConfig, m_max: int, budget: int, exponent_cap: in
     cands = extremal_candidates(m_max, budget, exponent_cap=exponent_cap)
 
     def body(sink: RowSink) -> None:
-        while fs := [c.factorization for c in itertools.islice(cands, EXTREMAL_CHUNK)]:
-            for f, ev in zip(fs, robin_check_batch(fs)):
-                exps = " ".join(str(e) for _, e in f.factors)
-                sink.write([ev.log_n, exps, ev.sigma_ratio, ev.robin_rhs_ratio, ev.delta,
-                            ev.violates, ev.special])
+        while fs := list(itertools.islice(cands, EXTREMAL_CHUNK)):
+            log_n, _, ratio, bound, delta, violates, special = robin_columns(fs)
+            exps = [" ".join([str(e) for _, e in f.factors]) for f in fs]
+            sink.write_columns([log_n, exps, ratio, bound, delta, violates, special])
 
     rc = _run_with_sink(cfg, "robin-extremal", body)
     _info(f"robin-extremal: m_max={m_max} budget={budget}")

@@ -17,6 +17,8 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .arithmetic import (
+    EULER_GAMMA,
+    EXP_GAMMA,
     Factorization,
     SigmaTable,
     _divisor_pair_sweep,
@@ -28,9 +30,6 @@ from .primes import table_for_count
 
 log = logging.getLogger(__name__)
 
-# float nearest the Euler-Mascheroni constant, and exp of exactly that float
-EULER_GAMMA = 0.5772156649015329
-EXP_GAMMA = math.exp(EULER_GAMMA)
 # limsup bound exp(gamma) * (4 - 2*sqrt(2) + gamma - log(4*pi)) for the
 # normalized excess statistic
 RAMANUJAN_LIMSUP = EXP_GAMMA * (4.0 - 2.0 * math.sqrt(2.0) + EULER_GAMMA - math.log(4.0 * math.pi))
@@ -110,30 +109,38 @@ def bound_columns(log_n: np.ndarray, ratio: np.ndarray) -> tuple[np.ndarray, ...
     return bound, delta, violates, near
 
 
-def robin_check_batch(fs: Sequence[Factorization]) -> list[RobinEvaluation]:
-    """robin_check of every factorization, with one bound_columns call for all.
+def robin_columns(fs: Sequence[Factorization]) -> tuple[list, ...]:
+    """Robin rows of every factorization, as columns in RobinEvaluation's field order.
 
-    Each row takes the exact integer quotient sigma(n) / n, correctly
-    rounded at any size, and log_of(n). The scan's sig / n is the same
-    quotient while sigma(n) < 2**53, so there the two rows are equal bit for
-    bit. Rows do not depend on the batch.
+    Returns lists of log n, log log n, sigma(n)/n, bound, delta, violates
+    and special. sigma(n)/n is the exact integer quotient, correctly rounded
+    at any size; the scan's sig / n is the same quotient while sigma(n) <
+    2**53, so there the two rows are equal bit for bit. log n is log_of(n):
+    one vector np.log over the nearest floats, or log_of per n when some n
+    is past float range. bound, delta and violates come from one
+    bound_columns call. Rows do not depend on the batch.
     """
     if any(f.is_unit for f in fs):
         raise ValueError("n = 1 has no log log n; nothing to check")
     ns = [f.value() for f in fs]
-    logs = [log_of(n) for n in ns]
     ratios = [f.divisor_sum() / n for f, n in zip(fs, ns)]
-    loglogs = np.log(logs).tolist()  # the log log n inside bound_columns
-    bound, delta, violates, near = bound_columns(np.array(logs), np.array(ratios))
-    out = []
-    for i, log_n in enumerate(logs):
-        special = SPECIAL_NORMAL if loglogs[i] > 0 else SPECIAL_LOGLOG_NONPOSITIVE
-        if special == SPECIAL_NORMAL and near[i]:
-            log.warning("near tie at n with log_n=%.17g: |ratio-bound|=%.3e", log_n, abs(ratios[i] - bound[i]))
-        out.append(RobinEvaluation(log_n=log_n, loglog_n=loglogs[i], sigma_ratio=ratios[i],
-                                   robin_rhs_ratio=float(bound[i]), delta=float(delta[i]),
-                                   violates=bool(violates[i]), special=special))
-    return out
+    if max(ns, default=0) <= _FLOAT_MAX_INT:
+        log_n = np.log(np.array(ns, dtype=np.float64))
+    else:
+        log_n = np.array([log_of(n) for n in ns])
+    logs = log_n.tolist()
+    loglogs = np.log(log_n).tolist()  # the log log n inside bound_columns
+    bound, delta, violates, near = bound_columns(log_n, np.array(ratios))
+    special = [SPECIAL_NORMAL if ll > 0 else SPECIAL_LOGLOG_NONPOSITIVE for ll in loglogs]
+    for i in np.flatnonzero(near).tolist():
+        if loglogs[i] > 0:
+            log.warning("near tie at n with log_n=%.17g: |ratio-bound|=%.3e", logs[i], abs(ratios[i] - bound[i]))
+    return logs, loglogs, ratios, bound.tolist(), delta.tolist(), violates.tolist(), special
+
+
+def robin_check_batch(fs: Sequence[Factorization]) -> list[RobinEvaluation]:
+    """robin_check of every factorization: the rows of robin_columns(fs)."""
+    return [RobinEvaluation(*row) for row in zip(*robin_columns(fs))]
 
 
 def robin_check(f: Factorization) -> RobinEvaluation:
@@ -250,7 +257,7 @@ def scan_range(
     Each window takes sigma(n) from a view of `table` when one is given;
     otherwise the divisor-pair sweep sieves exactly the scanned n (only the
     odd ones under odd_only) into a buffer of sieve_dtype(hi), int32 up to
-    hi of about 1.1e8 and int64 past it. The row math then runs over the
+    hi = 388129549 and int64 past it. The row math then runs over the
     window in blocks of ROW_BLOCK values, so its arrays stay in cache.
     Nothing else differs, and rows do not depend on where window or block
     boundaries fall. Peak memory is one window's sieve (its entries plus
@@ -330,32 +337,24 @@ def bound_rhs(variant: str, f: Factorization, c: float = 1.0) -> float:
     return EXP_GAMMA * loglog_n + c * math.exp(math.sqrt(loglog_n)) / math.sqrt(log_n)
 
 
-@dataclass(frozen=True)
-class ExtremalCandidate:
-    """Exponent vector over the first m primes, non-increasing left to right."""
-
-    factorization: Factorization
-    exponent_cap: int | None = None
-
-    def __post_init__(self) -> None:
-        exps = [e for _, e in self.factorization.factors]
-        if any(a < b for a, b in zip(exps, exps[1:])):
-            raise ValueError(f"exponents must be non-increasing, got {exps}")
-        if self.exponent_cap is not None and exps and exps[0] > self.exponent_cap:
-            raise ValueError(f"exponent {exps[0]} above cap {self.exponent_cap}")
-
-
 def extremal_candidates(
     m_max: int, budget: int, *, exponent_cap: int | None = None
-) -> Iterator[ExtremalCandidate]:
+) -> Iterator[Factorization]:
     """Yield candidates in ascending log n order, at most `budget` of them.
 
     Non-increasing exponent vectors over consecutive first primes are exactly
     the shapes that can maximize sigma(n)/n for their size, so scans for
     extreme delta values only need these. Enumeration is a min-heap walk
     keyed on log_of(n), the log n their rows print, so printed log n never
-    decreases; every successor multiplies n by one prime, so the heap order
-    is global.
+    decreases; ties go to the smaller exponent vector. Each vector is pushed
+    once, by its parent: itself with the last exponent lowered by one, and
+    dropped at 0. So a popped vector pushes at most two children: its last
+    exponent raised while it stays below the one before it and within
+    exponent_cap, and a 1 appended while fewer than m_max primes are used.
+    A child's n is its parent's times a prime, so the heap order is global,
+    and every yielded Factorization is valid by construction and skips the
+    constructor's checks. An exponent_cap below 1 admits no candidate and
+    raises ValueError.
     """
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
@@ -363,27 +362,21 @@ def extremal_candidates(
         raise ValueError(f"budget must be >= 0, got {budget}")
     if budget == 0:
         return
+    if exponent_cap is not None and exponent_cap < 1:
+        raise ValueError(f"exponent 1 above cap {exponent_cap}")
     table = table_for_count(m_max)
     plist = [table.nth(i + 1) for i in range(m_max)]
-    heap: list[tuple[float, tuple[int, ...]]] = []
-    seen: set[tuple[int, ...]] = set()
-
-    def push(exps: tuple[int, ...], n: int) -> None:
-        if exps not in seen:
-            seen.add(exps)
-            heapq.heappush(heap, (log_of(n), exps))
-
-    push((1,), plist[0])
-    emitted = 0
-    while heap and emitted < budget:
-        _, exps = heapq.heappop(heap)
-        fz = Factorization(tuple((plist[i], e) for i, e in enumerate(exps)))
-        yield ExtremalCandidate(factorization=fz, exponent_cap=exponent_cap)
-        emitted += 1
-        n = fz.value()
+    heap = [(log_of(plist[0]), (1,), plist[0])]
+    for _ in range(budget):
+        if not heap:
+            return
+        _, exps, n = heapq.heappop(heap)
+        yield Factorization._unchecked(tuple(zip(plist, exps)))
         m = len(exps)
-        for i in range(m):
-            if (i == 0 or exps[i - 1] > exps[i]) and (exponent_cap is None or exps[i] < exponent_cap):
-                push(exps[:i] + (exps[i] + 1,) + exps[i + 1 :], n * plist[i])
+        last = exps[-1]
+        if (m == 1 or exps[-2] > last) and (exponent_cap is None or last < exponent_cap):
+            child = n * plist[m - 1]
+            heapq.heappush(heap, (log_of(child), exps[:-1] + (last + 1,), child))
         if m < m_max:
-            push(exps + (1,), n * plist[m])
+            child = n * plist[m]
+            heapq.heappush(heap, (log_of(child), exps + (1,), child))

@@ -231,27 +231,32 @@ def test_sigma_window_far_from_origin():
 
 
 def _exact_sweep_bound(n):
-    # n * (1 + log n) + isqrt(n) to 40 digits, free of float rounding
+    # n * (exp(gamma) L + 0.6483 / L) + isqrt(n), L = log log n, to 40
+    # digits, free of float rounding
     with decimal.localcontext() as ctx:
         ctx.prec = 40
-        return decimal.Decimal(n) * (1 + decimal.Decimal(n).ln()) + math.isqrt(n)
+        gamma = decimal.Decimal("0.5772156649015328606065120900824024310422")
+        loglog = decimal.Decimal(n).ln().ln()
+        return n * (gamma.exp() * loglog + decimal.Decimal("0.6483") / loglog) + math.isqrt(n)
 
 
 # the largest n whose sieve buffer is int32, and int64
-INT32_EDGE = 110_034_809
-INT64_EDGE = 225_203_186_517_606_416
+INT32_EDGE = 388_129_549
+INT64_EDGE = 1_352_383_080_871_964_031
 
 
 def test_sieve_dtype_edges():
     assert _exact_sweep_bound(INT32_EDGE) < 2**31 <= _exact_sweep_bound(INT32_EDGE + 1)
     assert sieve_dtype(INT32_EDGE) == np.int32
     assert sieve_dtype(INT32_EDGE + 1) == np.int64
-    assert sieve_dtype(0) == sieve_dtype(1) == sieve_dtype(10**7) == np.int32
-    # the float bound crosses 2**63 a few n before the exact one: int64 is
+    assert all(sieve_dtype(n) == np.int32 for n in (-1, 0, 1, 2, 6, 7, 10**7))
+    # the bound holds for every n from 7 on, and above every sigma(n) + sqrt(n) of n < 7
+    assert all(_exact_sweep_bound(n) > 12 + math.sqrt(6) for n in (7, 8, 12))
+    # the float bound crosses 2**63 19 n before the exact one: int64 is
     # only ever picked where the exact bound fits
-    assert _exact_sweep_bound(INT64_EDGE) < 2**63 <= _exact_sweep_bound(INT64_EDGE + 3)
+    assert _exact_sweep_bound(INT64_EDGE) < 2**63 <= _exact_sweep_bound(INT64_EDGE + 20)
     assert sieve_dtype(INT64_EDGE) == np.int64
-    for n in (INT64_EDGE + 1, INT64_EDGE + 3, 2**62, 2**64):
+    for n in (INT64_EDGE + 1, INT64_EDGE + 20, 2**62, 2**64):
         with pytest.raises(CapacityError):
             sieve_dtype(n)
 
@@ -283,7 +288,9 @@ def _square_windows(rng, count, step):
 
 def test_int32_sweep_equals_int64_window():
     rng = random.Random(32)
-    windows = [(INT32_EDGE - 5000, 5001), (INT32_EDGE, 1), (1, 3000)] + _square_windows(rng, 40, 1)
+    # 367567200 = 2^5 3^3 5^2 7 11 13 17 is superabundant, with sigma = 0.88 * 2**31
+    windows = [(INT32_EDGE - 5000, 5001), (INT32_EDGE, 1), (367567200 - 100, 201), (1, 3000)]
+    windows += _square_windows(rng, 40, 1)
     for lo, width in windows:
         sigma = np.arange(lo, lo + width, dtype=sieve_dtype(lo + width - 1))
         assert sigma.dtype == np.int32

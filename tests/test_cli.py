@@ -1,11 +1,15 @@
 """End-to-end subprocess tests of the command line front end."""
+import io
 import json
 import math
+
+import numpy as np
+import pytest
 
 import robinlab.cli
 import robinlab.robin
 from robinlab.arithmetic import factorize, sigma_of
-from robinlab.cli import main
+from robinlab.cli import RowSink, main
 
 PRIMES_30 = [
     "n,p_n", "1,2", "2,3", "3,5", "4,7", "5,11",
@@ -59,6 +63,43 @@ def test_robin_extremal_chunks_do_not_change_rows(capsys, monkeypatch):
     assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
     log_n = [float(line.split(",")[0]) for line in outputs[0].splitlines()[1:]]
     assert log_n == sorted(log_n)  # the walk's heap key is the printed log n
+
+
+_COLUMNS = [
+    [0, -7, 2**70, 12, 5],
+    [0.0, -0.0, 1e-300, math.pi, float("inf")],
+    [True, False, False, True, True],
+    ["4 2 1", "normal", "", " lead", "x y"],
+    [1, 2.5, True, "x y", np.float64(0.1)],  # mixed: fmt_value per value
+]
+# string columns the csv module quotes (or, for a lone empty field, writes as "")
+_NEEDS_CSV = ["a,b", 'say "hi"', "line\nbreak", "cr\r"]
+
+
+def _rows_and_columns(fmt, columns):
+    names = [f"c{i}" for i in range(len(columns))]
+    by_row, by_column = io.StringIO(), io.StringIO()
+    rows = RowSink(by_row, fmt, names)
+    for row in zip(*columns):
+        rows.write(list(row))
+    rows.finish()
+    cols = RowSink(by_column, fmt, names)
+    cols.write_columns(columns)
+    cols.finish()
+    return by_row.getvalue(), by_column.getvalue()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_write_columns_equals_row_writes(fmt):
+    cases = [_COLUMNS, [c[:0] for c in _COLUMNS], [["only", ""]], [[""] * 3]]
+    cases += [[c[:1] for c in _COLUMNS] + [[special]] for special in _NEEDS_CSV]
+    for columns in cases:
+        by_row, by_column = _rows_and_columns(fmt, columns)
+        assert by_column == by_row, columns
+    with pytest.raises(ValueError):
+        RowSink(io.StringIO(), fmt, ["a", "b"]).write_columns([[1, 2], [3]])
+    with pytest.raises(ValueError):
+        RowSink(io.StringIO(), fmt, ["a", "b"]).write_columns([[1, 2]])
 
 
 def test_robin_eval_rejects_unit(run_cli):

@@ -1,6 +1,7 @@
 """Divisor-bound evaluation, range scans, and extremal candidate walks."""
 import itertools
 import math
+import sys
 import tracemalloc
 
 import numpy as np
@@ -14,13 +15,16 @@ from robinlab.robin import (
     EULER_GAMMA,
     EXP_GAMMA,
     SCAN_BYTES_PER_N,
-    ExtremalCandidate,
+    RobinEvaluation,
     RobinRow,
+    bound_columns,
     bound_rhs,
     extremal_candidates,
+    log_of,
     ramanujan_constant,
     robin_check,
     robin_check_batch,
+    robin_columns,
     robin_delta,
     scan_range,
     top_k_indices,
@@ -411,35 +415,53 @@ def test_top_k_tie_across_window_boundary_keeps_smaller_n(monkeypatch):
 
 
 def test_extremal_single_prime():
-    cands = list(extremal_candidates(1, 3))
-    values = [c.factorization.value() for c in cands]
-    assert values == [2, 4, 8]
-    assert [tuple(e for _, e in c.factorization.factors) for c in cands] == [
-        (1,), (2,), (3,)]
+    fs = list(extremal_candidates(1, 3))
+    assert [f.value() for f in fs] == [2, 4, 8]
+    assert [tuple(e for _, e in f.factors) for f in fs] == [(1,), (2,), (3,)]
 
 
 def test_extremal_ascending_and_monotone():
-    cands = list(extremal_candidates(6, 500))
-    logs = [sum(e * math.log(q) for q, e in c.factorization.factors) for c in cands]
+    fs = list(extremal_candidates(6, 500))
+    logs = [sum(e * math.log(q) for q, e in f.factors) for f in fs]
     assert logs == sorted(logs)
-    values = [c.factorization.value() for c in cands]
+    values = [f.value() for f in fs]
     assert len(set(values)) == len(values)
-    for c in cands:
-        exps = [e for _, e in c.factorization.factors]
+    for f in fs:
+        exps = [e for _, e in f.factors]
         assert all(a >= b for a, b in zip(exps, exps[1:]))
 
 
 def test_extremal_exponent_cap():
-    cands = list(extremal_candidates(3, 50, exponent_cap=1))
+    fs = list(extremal_candidates(3, 50, exponent_cap=1))
     # squarefree means primorial prefixes only
-    assert [c.factorization.value() for c in cands] == [2, 6, 30]
-    with pytest.raises(ValueError):
-        ExtremalCandidate(Factorization(((2, 3),)), exponent_cap=2)
+    assert [f.value() for f in fs] == [2, 6, 30]
+    for cap in (0, -1):  # no candidate fits, not even n = 2
+        with pytest.raises(ValueError):
+            list(extremal_candidates(3, 5, exponent_cap=cap))
+    assert list(extremal_candidates(3, 0, exponent_cap=0)) == []
 
 
-def test_extremal_rejects_increasing_exponents():
-    with pytest.raises(ValueError):
-        ExtremalCandidate(Factorization(((2, 1), (3, 2))))
+def test_extremal_walk_invariants():
+    # the walk builds its Factorizations unchecked, so check the whole walks
+    for m_max, budget, cap in ((1, 3, None), (6, 500, None), (3, 50, 1), (8, 400, 2)):
+        fs = list(extremal_candidates(m_max, budget, exponent_cap=cap))
+        first_primes = [2, 3, 5, 7, 11, 13, 17, 19][:m_max]
+        vectors = set()
+        last_log = -math.inf
+        for f in fs:
+            assert Factorization(f.factors) == f  # passes the constructor's checks
+            assert [q for q, _ in f.factors] == first_primes[: len(f.factors)]
+            exps = tuple(e for _, e in f.factors)
+            assert exps[-1] >= 1 and all(a >= b for a, b in zip(exps, exps[1:])), exps
+            assert cap is None or exps[0] <= cap, exps
+            vectors.add(exps)
+            assert log_of(f.value()) >= last_log
+            last_log = log_of(f.value())
+        assert len(vectors) == len(fs)
+        if cap is None:
+            assert len(fs) == budget
+        else:  # the capped family is finite, and the walk yields all of it
+            assert len(fs) == sum(math.comb(m + cap - 1, cap - 1) for m in range(1, m_max + 1))
 
 
 def test_extremal_budget_semantics():
@@ -449,35 +471,69 @@ def test_extremal_budget_semantics():
 
 
 def test_extremal_largest_ratio_within_5040():
-    cands = [c for c in extremal_candidates(8, 400)
-             if c.factorization.value() <= 5040]
-    assert any(c.factorization.value() == 5040 for c in cands)
-    by_ratio = max(cands, key=lambda c: robin_check(c.factorization).sigma_ratio)
-    assert by_ratio.factorization.value() == 5040
-    assert tuple(e for _, e in by_ratio.factorization.factors) == (4, 2, 1, 1)
+    fs = [f for f in extremal_candidates(8, 400) if f.value() <= 5040]
+    assert any(f.value() == 5040 for f in fs)
+    by_ratio = max(fs, key=lambda f: robin_check(f).sigma_ratio)
+    assert by_ratio.value() == 5040
+    assert tuple(e for _, e in by_ratio.factors) == (4, 2, 1, 1)
     # the delta statistic is a different ranking: small n dominate it
-    by_delta = max((c for c in cands if c.factorization.value() >= 3),
-                   key=lambda c: robin_delta(c.factorization))
-    assert by_delta.factorization.value() == 4
+    by_delta = max((f for f in fs if f.value() >= 3), key=robin_delta)
+    assert by_delta.value() == 4
 
 
 def test_extremal_dominates_scan_delta(sigma1e5):
     res = scan_range(3, 100_000, table=sigma1e5)
-    cands = [c for c in extremal_candidates(10, 2_000)
-             if 3 <= c.factorization.value() <= 100_000]
-    best = max(robin_delta(c.factorization) for c in cands)
+    fs = [f for f in extremal_candidates(10, 2_000) if 3 <= f.value() <= 100_000]
+    best = max(robin_delta(f) for f in fs)
     assert res.top_rows[0].delta <= best + 1e-9
 
 
 def test_extremal_no_violations_between_logs_10_and_50():
     checked = 0
     cands = extremal_candidates(18, 10_000_000)
-    while fs := [c.factorization for c in itertools.islice(cands, 4096)]:
-        evs = robin_check_batch(fs)
-        for f, ev in zip(fs, evs):
-            if 10.0 <= ev.log_n <= 50.0:
+    while fs := list(itertools.islice(cands, 4096)):
+        log_n, _, _, _, _, violates, _ = robin_columns(fs)
+        for f, lg, v in zip(fs, log_n, violates):
+            if 10.0 <= lg <= 50.0:
                 checked += 1
-                assert not ev.violates, f.factors
-        if evs[-1].log_n > 50.0:
+                assert not v, f.factors
+        if log_n[-1] > 50.0:
             break
     assert checked > 90_000  # exhaustive walk of the shape family in range
+
+
+def _scalar_columns(fs):
+    # log_of and the exact quotient one n at a time, then the one row formula
+    ns = [f.value() for f in fs]
+    logs = [log_of(n) for n in ns]
+    ratios = [f.divisor_sum() / n for f, n in zip(fs, ns)]
+    loglogs = np.log(logs).tolist()
+    bound, delta, violates, _ = bound_columns(np.array(logs), np.array(ratios))
+    return logs, loglogs, ratios, bound.tolist(), delta.tolist(), violates.tolist()
+
+
+def test_robin_columns_equal_scalar_rows():
+    fs = list(extremal_candidates(200, 20_000))
+    cols = robin_columns(fs)
+    assert all(len(c) == len(fs) for c in cols)
+    assert cols[:6] == _scalar_columns(fs)  # the vector np.log equals log_of on every n
+    assert cols[6] == ["loglog_nonpositive"] + ["normal"] * (len(fs) - 1)
+    rows = [RobinEvaluation(*row) for row in zip(*cols)]
+    assert robin_check_batch(fs[:2000]) == rows[:2000]
+    assert [robin_check(f) for f in fs[:300]] == rows[:300]
+    assert robin_columns([]) == ([], [], [], [], [], [], [])
+
+
+def test_robin_columns_past_float_range():
+    # any n past float range sends the chunk to log_of, math.log of the int;
+    # the largest int with a float, 2**971 * (2**53 - 1), takes np.log
+    big = Factorization(((2, 971), (6361, 1), (69431, 1), (20394401, 1)))
+    assert big.value() == int(sys.float_info.max)
+    fs = [factorize(5040), Factorization(((2, 1100),)), big, Factorization(((2, 1100), (3, 5)))]
+    for chunk in (fs, fs[2:3], fs[:1] + fs[2:3]):
+        assert robin_columns(chunk)[:6] == _scalar_columns(chunk)
+        assert robin_check_batch(chunk) == [robin_check(f) for f in chunk]
+    cols = robin_columns(fs)
+    assert cols[0][1] == math.log(2**1100) == log_of(2**1100)
+    assert cols[0][2] == float(np.log(np.float64(big.value())))
+    assert cols[5] == [True, False, False, False]
