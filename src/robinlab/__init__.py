@@ -12,6 +12,7 @@ from .arithmetic import (
     Factorization,
     SigmaTable,
     factorize,
+    factorize_all,
     is_prime,
     sigma_of,
     sigma_sieve,
@@ -99,6 +100,7 @@ __all__ = [
     "equivalence_check",
     "extremal_candidates",
     "factorize",
+    "factorize_all",
     "gap_term",
     "is_prime",
     "mertens_deviation",

@@ -1,7 +1,8 @@
 """Exact factorization and sum-of-divisors arithmetic below 2**64.
 
 Factorization runs trial division by primes under 1000, then a deterministic
-Miller-Rabin primality test and Brent-cycle Pollard rho for what remains.
+Miller-Rabin primality test and Brent-cycle Pollard rho for what remains;
+factorize_all splits a batch's rho work across the CPUs the process may use.
 All sigma values are exact integers. Factorization.divisor_sum has no size
 limit; everywhere else, anything that would leave 64 bits is a
 CapacityError rather than a silently wrong number.
@@ -10,7 +11,9 @@ CapacityError rather than a silently wrong number.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
@@ -135,29 +138,80 @@ def _rho_split(n: int) -> int:
         c += 1
 
 
-def factorize(n: int) -> Factorization:
-    """Full prime factorization of 1 <= n < 2**64."""
-    if not 1 <= n < U64_LIMIT:
-        raise ValueError(f"factorize needs 1 <= n < 2**64, got {n}")
-    counts: dict[int, int] = {}
-    rest = n
-    for p in _TRIAL_PRIMES:
-        if p * p > rest:
-            break
-        while rest % p == 0:
-            counts[p] = counts.get(p, 0) + 1
-            rest //= p
-    if rest > 1:
-        stack = [rest]
-        while stack:
-            v = stack.pop()
-            if is_prime(v):
-                counts[v] = counts.get(v, 0) + 1
+def _cofactor_primes(v: int) -> list[int]:
+    """Prime factors of 1 < v < 2**64, with multiplicity: rho until every part is prime."""
+    stack, out = [v], []
+    while stack:
+        v = stack.pop()
+        if is_prime(v):
+            out.append(v)
+        else:
+            d = _rho_split(v)
+            stack += (d, v // d)
+    return out
+
+
+def _split_cofactors(cofactors: list[int]) -> list[list[int]]:
+    """_cofactor_primes of each cofactor, in input order.
+
+    With at least two cofactors, two CPUs in this process's affinity mask and
+    fork, a pool of one worker per CPU (at most one per cofactor) takes them
+    largest first, one at a time; otherwise they run here. Workers are forked
+    because they then start in milliseconds from this process's modules,
+    where spawn would re-import numpy in each; they run integer arithmetic
+    only and allocate nothing large, and all of them are joined on return,
+    also when one raises.
+    """
+    can_fork = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+    workers = min(len(cofactors), len(os.sched_getaffinity(0))) if can_fork else 1
+    if workers < 2:
+        return [_cofactor_primes(v) for v in cofactors]
+    import multiprocessing  # here, not at module load: its import costs every CLI start ~10 ms
+
+    order = sorted(range(len(cofactors)), key=cofactors.__getitem__, reverse=True)
+    with multiprocessing.get_context("fork").Pool(workers) as pool:
+        found = pool.map(_cofactor_primes, [cofactors[i] for i in order], chunksize=1)
+    return [primes for _, primes in sorted(zip(order, found))]
+
+
+def factorize_all(ns: Sequence[int]) -> list[Factorization]:
+    """Full prime factorization of each 1 <= n < 2**64, in input order.
+
+    Every n is checked before any work starts. Trial division by the primes
+    under 1000 and the primality test of what remains run here; the
+    composite cofactors left, the Pollard rho work, go to _split_cofactors.
+    The result does not depend on how many workers ran.
+    """
+    for n in ns:
+        if not 1 <= n < U64_LIMIT:
+            raise ValueError(f"factorize needs 1 <= n < 2**64, got {n}")
+    all_counts: list[dict[int, int]] = []
+    composite: dict[int, int] = {}  # index in ns -> cofactor that needs rho
+    for i, n in enumerate(ns):
+        counts: dict[int, int] = {}
+        rest = n
+        for p in _TRIAL_PRIMES:
+            if p * p > rest:
+                break
+            while rest % p == 0:
+                counts[p] = counts.get(p, 0) + 1
+                rest //= p
+        if rest > 1:
+            if is_prime(rest):
+                counts[rest] = 1
             else:
-                d = _rho_split(v)
-                stack.append(d)
-                stack.append(v // d)
-    return Factorization(tuple(sorted(counts.items())))
+                composite[i] = rest
+        all_counts.append(counts)
+    for i, primes in zip(composite, _split_cofactors(list(composite.values()))):
+        counts = all_counts[i]
+        for q in primes:
+            counts[q] = counts.get(q, 0) + 1
+    return [Factorization(tuple(sorted(counts.items()))) for counts in all_counts]
+
+
+def factorize(n: int) -> Factorization:
+    """Full prime factorization of 1 <= n < 2**64: factorize_all([n])[0]."""
+    return factorize_all([n])[0]
 
 
 def sigma_of(f: Factorization) -> int:

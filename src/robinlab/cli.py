@@ -19,7 +19,8 @@ import sys
 from dataclasses import dataclass
 from typing import Sequence
 
-from .arithmetic import factorize, sigma_of, sigma_sieve
+# factorize and sigma_sieve are unused here, but bench/tracer.py wraps cli.factorize and cli.sigma_sieve
+from .arithmetic import factorize, factorize_all, sigma_of, sigma_sieve  # noqa: F401
 from .errors import CapacityError
 from .euler_products import condition_sweep, zeta_enclosure
 from .gap_series import (
@@ -237,8 +238,7 @@ def cmd_robin_scan(cfg: RunConfig, lo: int, hi: int, odd_only: bool) -> int:
 
 def cmd_robin_eval(cfg: RunConfig, ns: Sequence[int]) -> int:
     rows = []
-    for n in ns:
-        f = factorize(n)
+    for n, f in zip(ns, factorize_all(ns)):
         ev = robin_check(f)
         rows.append([n, sigma_of(f), ev.sigma_ratio, ev.robin_rhs_ratio, ev.delta, ev.violates])
 

@@ -43,13 +43,13 @@ def criterion_log():
 
 @pytest.fixture(scope="session")
 def run_cli():
-    def run(args, env_extra=None):
+    def run(args, env_extra=None, timeout=None):
         env = os.environ.copy()
         if env_extra:
             env.update(env_extra)
         return subprocess.run(
             [sys.executable, "-m", "robinlab.cli", *args],
-            capture_output=True, text=True, env=env,
+            capture_output=True, text=True, env=env, timeout=timeout,
         )
     return run
 

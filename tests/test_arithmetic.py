@@ -1,6 +1,9 @@
 """Factorization, divisor sums, and the exact sigma sieve."""
 import decimal
 import math
+import multiprocessing
+import multiprocessing.pool
+import os
 import random
 import sys
 
@@ -12,6 +15,7 @@ from robinlab.arithmetic import (
     Factorization,
     _divisor_pair_sweep,
     factorize,
+    factorize_all,
     is_prime,
     sigma_of,
     sieve_dtype,
@@ -61,6 +65,82 @@ def test_factorize_domain():
         factorize(0)
     with pytest.raises(ValueError):
         factorize(1 << 64)
+
+
+def _random_prime(rng, bits):
+    while True:
+        c = rng.getrandbits(bits - 1) | (1 << (bits - 1)) | 1
+        if is_prime(c):
+            return c
+
+
+def _known_batch(seed):
+    """(n, factors) pairs whose factorization is known by construction, shuffled."""
+    rng = random.Random(seed)
+
+    def case(*primes):
+        n, counts = 1, {}
+        for q in primes:
+            n *= q
+            counts[q] = counts.get(q, 0) + 1
+        return n, tuple(sorted(counts.items()))
+
+    cases = [case(_random_prime(rng, 31), _random_prime(rng, 32)) for _ in range(4)]
+    cases += [case(*(_random_prime(rng, 20) for _ in range(3))) for _ in range(3)]
+    cases += [case(q, q) for q in (_random_prime(rng, 31) for _ in range(2))]
+    cases += [case(_random_prime(rng, 61)) for _ in range(2)]
+    cases += [(1, ()), (2**64 - 1, ((3, 1), (5, 1), (17, 1), (257, 1), (641, 1), (65537, 1), (6700417, 1)))]
+    cases += cases[:3]  # duplicates
+    rng.shuffle(cases)
+    return cases
+
+
+def _set_cpus(monkeypatch, cpus):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_factorize_all_known_batch(monkeypatch, cpus):
+    # same results, in input order, whether the rho work runs here or in a pool
+    cases = _known_batch(20261019)
+    pools = []
+    pool_map = multiprocessing.pool.Pool.map
+
+    def counted_map(self, *args, **kwargs):
+        pools.append(self)
+        return pool_map(self, *args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing.pool.Pool, "map", counted_map)
+    _set_cpus(monkeypatch, cpus)
+    got = factorize_all([n for n, _ in cases])
+    assert [f.factors for f in got] == [factors for _, factors in cases]
+    assert factorize_all([]) == []
+    assert len(pools) == (cpus > 1)
+    assert multiprocessing.active_children() == []
+
+
+class RhoFailure(Exception):
+    pass
+
+
+def _failing_rho(n):
+    raise RhoFailure(os.getpid())
+
+
+def test_factorize_all_worker_error_reaches_caller(monkeypatch):
+    rng = random.Random(7)
+    ns = [_random_prime(rng, 31) * _random_prime(rng, 32) for _ in range(3)]
+    _set_cpus(monkeypatch, 2)
+    monkeypatch.setattr(robinlab.arithmetic, "_rho_split", _failing_rho)
+    with pytest.raises(RhoFailure) as info:
+        factorize_all(ns)
+    assert info.value.args[0] != os.getpid()  # raised in a worker
+    assert multiprocessing.active_children() == []
+    with pytest.raises(RhoFailure):
+        factorize_all(ns[:1])  # one cofactor runs here
+    for bad in (0, 2**64):
+        with pytest.raises(ValueError, match="factorize needs"):
+            factorize_all([*ns, bad])  # checked before any rho work
 
 
 def test_is_prime_edges():

@@ -2,13 +2,18 @@
 import io
 import json
 import math
+import multiprocessing
+import os
+import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 import robinlab.cli
 import robinlab.robin
-from robinlab.arithmetic import factorize, sigma_of
+from robinlab.arithmetic import factorize, is_prime, sigma_of
 from robinlab.cli import RowSink, main
 
 PRIMES_30 = [
@@ -106,6 +111,56 @@ def test_robin_eval_rejects_unit(run_cli):
     cp = run_cli(["robin-eval", "1"])
     assert cp.returncode == 2
     assert cp.stderr.startswith("error:")
+
+
+def _semiprimes(seed, count):
+    """count products of a 31-bit and a 32-bit prime: the slowest n to factor."""
+    rng = random.Random(seed)
+
+    def prime(bits):
+        while True:
+            c = rng.getrandbits(bits - 1) | (1 << (bits - 1)) | 1
+            if is_prime(c):
+                return c
+
+    return [prime(31) * prime(32) for _ in range(count)]
+
+
+def test_robin_eval_rows_do_not_depend_on_workers(run_cli, capsys, monkeypatch):
+    # the subprocess splits its rho work over this machine's CPUs; the
+    # timeout also catches a pool that never returns
+    rng = random.Random(15)
+    ns = _semiprimes(15, 4) + [(1 << 60) + rng.getrandbits(60) for _ in range(20)] + [5040, 5041]
+    rng.shuffle(ns)
+    args = ["robin-eval", *map(str, ns)]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert main(args) == 0
+    serial = capsys.readouterr().out
+    assert len(serial.splitlines()) == len(ns) + 1
+    cp = run_cli(args, timeout=60)
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout == serial
+
+
+def test_robin_eval_rejects_bad_n_before_any_pool(capsys, monkeypatch):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was built")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+    for bad in ("0", str(2**64)):
+        for ns in (["5"], list(map(str, _semiprimes(16, 2)))):
+            assert main(["robin-eval", *ns, bad]) == 2
+            out = capsys.readouterr()
+            assert out.out == ""
+            assert out.err.startswith(f"error: factorize needs 1 <= n < 2**64, got {bad}")
+
+
+def test_cli_import_leaves_multiprocessing_unloaded():
+    code = "import sys, robinlab.cli; print('multiprocessing' in sys.modules)"
+    cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert cp.returncode == 0, cp.stderr
+    assert cp.stdout == "False\n"
 
 
 def test_robin_scan_classic_range(run_cli):
