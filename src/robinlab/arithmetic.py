@@ -24,6 +24,11 @@ U64_LIMIT = 1 << 64
 # bytes per entry of an int64 sigma table or window
 SIGMA_BYTES_PER_N = 8
 _TRIAL_PRIMES = tuple(int(p) for p in _small_primes(999))
+# estimated Pollard rho steps, about 2**(bits/4) per cofactor, from which a
+# batch's rho work goes to a pool: forking one cost about 27 ms and a step
+# about 0.5 us, and 3 cofactors of 63 bits (157k steps) still ran faster
+# here while 4 (212k steps) ran faster in the pool
+POOL_MIN_RHO_STEPS = 1 << 17
 # witness set proven sufficient for every n < 3.3e24, far past 2**64
 _MR_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 # float nearest the Euler-Mascheroni constant, and exp of exactly that float
@@ -154,16 +159,19 @@ def _cofactor_primes(v: int) -> list[int]:
 def _split_cofactors(cofactors: list[int]) -> list[list[int]]:
     """_cofactor_primes of each cofactor, in input order.
 
-    With at least two cofactors, two CPUs in this process's affinity mask and
-    fork, a pool of one worker per CPU (at most one per cofactor) takes them
-    largest first, one at a time; otherwise they run here. Workers are forked
+    With at least two cofactors, an estimated rho work of POOL_MIN_RHO_STEPS
+    or more, two CPUs in this process's affinity mask and fork, a pool of one
+    worker per CPU (at most one per cofactor) takes them largest first, one
+    at a time; otherwise they run here, where small cofactors finish before a
+    pool would have started. Workers are forked
     because they then start in milliseconds from this process's modules,
     where spawn would re-import numpy in each; they run integer arithmetic
     only and allocate nothing large, and all of them are joined on return,
     also when one raises.
     """
     can_fork = hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-    workers = min(len(cofactors), len(os.sched_getaffinity(0))) if can_fork else 1
+    worth_it = sum(2.0 ** (v.bit_length() / 4) for v in cofactors) >= POOL_MIN_RHO_STEPS
+    workers = min(len(cofactors), len(os.sched_getaffinity(0))) if can_fork and worth_it else 1
     if workers < 2:
         return [_cofactor_primes(v) for v in cofactors]
     import multiprocessing  # here, not at module load: its import costs every CLI start ~10 ms

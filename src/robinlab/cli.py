@@ -271,14 +271,22 @@ def cmd_condition7(cfg: RunConfig, m_max: int, k_list: Sequence[int]) -> int:
         def on_row(row) -> None:
             sink.write([row.m, row.p_m, row.k, row.lhs_log, row.rhs_log, row.holds])
 
-        holder["summary"] = condition_sweep(m_max, k_list, checkpoint_every=every, on_row=on_row)
+        holder["summary"] = condition_sweep(m_max, k_list, checkpoint_every=every, on_row=on_row,
+                                            segment_size=cfg.segment_size)
 
     rc = _run_with_sink(cfg, "condition7", body)
     summary = holder["summary"]
     for k in k_list:
-        at = summary.first_hold[k]
-        _info(f"condition7: k={k} first holds at m={at}" if at is not None
-              else f"condition7: k={k} never holds for m <= {m_max}")
+        at, last = summary.first_hold[k], summary.last_failure[k]
+        if at is None:
+            _info(f"condition7: k={k} never holds for m <= {m_max}")
+            continue
+        line = f"condition7: k={k} first holds at m={at}"
+        if summary.fails_after_hold[k]:
+            line += f", fails again at {summary.fails_after_hold[k]} m, last at m={last}"
+        if last is None or last < m_max:
+            line += f"; holds on [{1 if last is None else last + 1}, {m_max}]"
+        _info(line)
     _info(f"condition7: m_max={summary.m_max} p_max={summary.p_max} "
           f"deviation={fmt_value(summary.final_deviation)}")
     return rc
@@ -302,15 +310,14 @@ def cmd_gap_series(cfg: RunConfig, limit: int | None, preset: str | None) -> int
     if limit is None:
         raise ValueError("gap-series needs --limit or --preset")
     every = cfg.checkpoint_every or DEFAULT_CHECKPOINT_EVERY
-    table = primes_up_to(limit, segment_size=cfg.segment_size)
-
     holder: dict[str, object] = {}
 
     def body(sink: RowSink) -> None:
         def on_cp(cp) -> None:
             sink.write([cp.n, cp.p_n, cp.gap, cp.term, cp.partial_sum, cp.running_sup])
 
-        holder["state"] = series_scan(limit, checkpoint_every=every, on_checkpoint=on_cp, table=table)
+        holder["state"] = series_scan(limit, checkpoint_every=every, on_checkpoint=on_cp,
+                                      segment_size=cfg.segment_size)
 
     rc = _run_with_sink(cfg, "gap-series", body)
     state = holder["state"]
@@ -329,17 +336,16 @@ def cmd_theta_check(cfg: RunConfig, limit: int, c0_source: str | None, c0: float
         c0_source = "explicit" if c0 is not None else "series_sup"
     elif c0_source == "series_sup" and c0 is not None:
         raise ValueError("--c0-source series_sup conflicts with an explicit --c0")
-    table = primes_up_to(limit, segment_size=cfg.segment_size)
     if c0_source == "series_sup":
-        state = series_scan(limit, table=table)
-        c0 = state.running_sup
+        # a first constant-memory pass: the check below needs c0 from its first prime on
+        c0 = series_scan(limit, segment_size=cfg.segment_size).running_sup
         _info(f"theta-check: c0={fmt_value(c0)} from series running sup at {limit}")
     else:
         if c0 is None:
             raise ValueError("theta-check with --c0-source explicit needs --c0")
         _info(f"theta-check: c0={fmt_value(c0)} explicit")
     every = cfg.checkpoint_every or DEFAULT_CHECKPOINT_EVERY
-    result = theta_inequality_check(limit, c0, checkpoint_every=every, table=table)
+    result = theta_inequality_check(limit, c0, checkpoint_every=every, segment_size=cfg.segment_size)
 
     def body(sink: RowSink) -> None:
         for rec in result.records:

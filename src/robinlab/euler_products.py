@@ -14,9 +14,9 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .primes import PrimeTable, table_for_count
+from .primes import DEFAULT_SEGMENT_ODDS, PrimeTable, first_primes, table_for_count
 from .robin import EULER_GAMMA
-from .summation import prefix_sums
+from .summation import PrefixCarry, prefix_sums
 
 # p**-(k+1) underflows float64 well before this cap for every prime, so
 # larger exponents only saturate the products anyway
@@ -27,6 +27,20 @@ LOG1P_TINY = 2.0**-29
 
 # width of the first chunk of the first-hold search; each next chunk doubles
 FIRST_HOLD_CHUNK = 1024
+
+# width of the blocks in which verdicts past the first hold are settled
+# from a bound; narrow enough that the right-hand side rises less across one
+# than the condition's margin for k <= 5 past m = 1024
+HOLD_BLOCK = 64
+
+# far above the few ulps by which numpy's log(log p) + gamma and libm's can
+# differ, so numpy's value less this is a lower bound of _rhs_log
+RHS_MARGIN = 1e-12
+
+# bytes per prime that one streamed segment holds at its peak, from
+# tracemalloc: the segment, the Mertens prefix, one k's terms and the
+# carried prefix's 24
+SWEEP_BYTES_PER_PRIME = 40
 
 
 def _check_k(k: int) -> None:
@@ -65,7 +79,11 @@ def _log1p_neg(x: np.ndarray) -> np.ndarray:
     itself below 2**-54, where that expression rounds to x anyway. Those are
     plain IEEE operations, so numpy computes them exactly; the rest go to libm.
     """
-    out = -x - x * x * 0.5
+    half_sq = x * x
+    half_sq *= 0.5
+    out = np.negative(x)
+    out -= half_sq  # -x - x*x*0.5, in place to hold one array fewer
+    del half_sq
     wide = x >= LOG1P_TINY
     out[wide] = _libm(math.log1p, -x[wide])
     return out
@@ -220,10 +238,19 @@ class ConditionRow:
 
 @dataclass
 class SweepSummary:
+    """What a sweep found for each k, beside the rows.
+
+    last_failure[k] is the largest m <= m_max where the condition fails, or
+    None if it holds at every m; fails_after_hold[k] counts the m past
+    first_hold[k] where it fails again.
+    """
+
     m_max: int
     p_max: int
     first_hold: dict[int, int | None]
     final_deviation: float
+    last_failure: dict[int, int | None]
+    fails_after_hold: dict[int, int]
 
 
 def _doubling_chunks(n: int) -> Iterator[tuple[int, int]]:
@@ -234,6 +261,25 @@ def _doubling_chunks(n: int) -> Iterator[tuple[int, int]]:
         lo, width = lo + width, 2 * width
 
 
+def _failures(lhs: np.ndarray, primes: np.ndarray, start: int) -> np.ndarray:
+    """The indices i >= start where lhs[i] > _rhs_log(primes[i]), ascending.
+
+    lhs and the right-hand side both rise with m, so a HOLD_BLOCK-wide block
+    whose largest lhs is at most a lower bound of the right-hand side at the
+    block's first prime holds throughout. That bound is numpy's log(log p)
+    + gamma less RHS_MARGIN; only the other blocks evaluate the exact
+    right-hand side.
+    """
+    starts = np.arange(start, lhs.size, HOLD_BLOCK)
+    if not starts.size:
+        return starts
+    top = np.maximum.reduceat(lhs[start:], starts - start)
+    floor = EULER_GAMMA + np.log(np.log(primes[starts])) - RHS_MARGIN
+    bad = [s + np.flatnonzero(lhs[s : s + HOLD_BLOCK] > _rhs_log(primes[s : s + HOLD_BLOCK]))
+           for s in starts[top > floor].tolist()]
+    return np.concatenate(bad) if bad else starts[:0]
+
+
 def condition_sweep(
     m_max: int,
     ks: Sequence[int],
@@ -241,6 +287,7 @@ def condition_sweep(
     checkpoint_every: int = 1,
     table: PrimeTable | None = None,
     on_row: Callable[[ConditionRow], None] | None = None,
+    segment_size: int = DEFAULT_SEGMENT_ODDS,
 ) -> SweepSummary:
     """Sweep of the condition over m = 1..m_max for each k.
 
@@ -249,8 +296,13 @@ def condition_sweep(
     same m. Rows are delivered m-major at the checkpoint cadence plus always
     at m_max. First-hold tracking walks m in ascending order, in chunks that
     double in size, up to the first m that holds, whatever the cadence; the
-    right-hand side is evaluated only on the chunks walked (shared by all k)
-    and at the rows.
+    right-hand side is evaluated only on the chunks walked (shared by all k),
+    at the rows, and on the blocks past the first hold that _failures cannot
+    settle from a bound.
+
+    Without a table that holds m_max primes, they are sieved one segment at
+    a time, and only running state outlives a segment: the prefix carries
+    and, for each k, the first hold and the failures after it.
     """
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
@@ -261,35 +313,70 @@ def condition_sweep(
         raise ValueError("need at least one k")
     for k in ks:
         _check_k(k)
-    table = _table_for(m_max, table)
-    primes = table.primes[:m_max]
-    mert = prefix_sums(_mertens_terms(primes))
-    at = np.array([*range(checkpoint_every, m_max, checkpoint_every), m_max] if on_row else [],
-                  dtype=np.intp) - 1
-    first_hold: dict[int, int | None] = {}
-    rhs_chunks: dict[int, np.ndarray] = {}  # _rhs_log of each chunk walked so far, by its lo
-    prods = np.empty((len(ks), at.size))  # prefix of log1p(-p**-(k+1)) at each row
-    for j, k in enumerate(ks):
-        prod = prefix_sums(_factor_logs(primes, k))
-        first_hold[k] = None
-        for lo, hi in _doubling_chunks(m_max):
-            if lo not in rhs_chunks:
-                rhs_chunks[lo] = _rhs_log(primes[lo:hi])
-            holds = mert[lo:hi] + prod[lo:hi] <= rhs_chunks[lo]
-            i = int(np.argmax(holds))
-            if holds[i]:
-                first_hold[k] = lo + i + 1
-                break
-        prods[j] = prod[at]
-        del prod
-    for col, (i, rhs_m) in enumerate(zip(at.tolist(), _rhs_log(primes[at]).tolist())):
-        p, lm = int(primes[i]), float(mert[i])
-        dev = lm - rhs_m
-        for k, prod_m in zip(ks, prods[:, col].tolist()):
-            lhs = lm + prod_m
-            on_row(ConditionRow(
-                m=i + 1, p_m=p, k=k, lhs_log=lhs, rhs_log=rhs_m, holds=lhs <= rhs_m,
-                deviation=dev, log_zeta_partial=-prod_m, deficit_holds=dev <= -prod_m,
-            ))
-    return SweepSummary(m_max=m_max, p_max=int(primes[-1]), first_hold=first_hold,
-                        final_deviation=float(mert[-1]) - _rhs_at(m_max, table))
+    uniq = list(dict.fromkeys(ks))  # a repeated k is the same condition, not a second product
+    mert_carry, prod_carries = PrefixCarry(), [PrefixCarry() for _ in uniq]
+    first_hold: dict[int, int | None] = dict.fromkeys(uniq)
+    last_fail: dict[int, int | None] = dict.fromkeys(uniq)
+    fails_after = dict.fromkeys(uniq, 0)
+    done = 0  # primes in earlier segments
+    for primes in first_primes(m_max, table=table, segment_size=segment_size,
+                               bytes_per_prime=SWEEP_BYTES_PER_PRIME):
+        size = primes.size
+        mert = prefix_sums(_mertens_terms(primes), mert_carry)
+        at = np.arange(checkpoint_every - 1 - done % checkpoint_every, size if on_row else 0, checkpoint_every)
+        if on_row and done + size == m_max and (at.size == 0 or at[-1] != size - 1):
+            at = np.append(at, size - 1)
+        rhs_chunks: dict[int, np.ndarray] = {}  # _rhs_log of each chunk's part in this segment, by its lo
+        prods = np.empty((len(uniq), at.size))  # prefix of log1p(-p**-(k+1)) at each row
+        for j, k in enumerate(uniq):
+            lhs = prefix_sums(_factor_logs(primes, k), prod_carries[j])
+            prods[j] = lhs[at]
+            lhs += mert
+            fails, start = [], 0  # failures past the first hold, and where they are still to find
+            if first_hold[k] is None:
+                start = size
+                for lo, hi in _doubling_chunks(m_max):
+                    if hi <= done:
+                        continue
+                    if lo >= done + size:
+                        break
+                    a, b = max(lo - done, 0), min(hi - done, size)
+                    if lo not in rhs_chunks:
+                        rhs_chunks[lo] = _rhs_log(primes[a:b])
+                    holds = lhs[a:b] <= rhs_chunks[lo]
+                    i = int(np.argmax(holds))
+                    if holds[i]:
+                        first_hold[k] = done + a + i + 1
+                        fails.append(a + i + np.flatnonzero(~holds[i:]))
+                        start = b
+                        break
+            if first_hold[k] is not None:
+                fails = np.concatenate([*fails, _failures(lhs, primes, start)])
+                if fails.size:
+                    fails_after[k] += fails.size
+                    last_fail[k] = done + int(fails[-1]) + 1
+            del lhs
+        row_prods = prods[[uniq.index(k) for k in ks]].T.tolist()
+        for i, p, lm, rhs_m, prods_m in zip(at.tolist(), primes[at].tolist(), mert[at].tolist(),
+                                            _rhs_log(primes[at]).tolist(), row_prods):
+            dev = lm - rhs_m
+            for k, prod_m in zip(ks, prods_m):
+                lhs_m = lm + prod_m
+                on_row(ConditionRow(
+                    m=done + i + 1, p_m=p, k=k, lhs_log=lhs_m, rhs_log=rhs_m, holds=lhs_m <= rhs_m,
+                    deviation=dev, log_zeta_partial=-prod_m, deficit_holds=dev <= -prod_m,
+                ))
+        done += size
+        p_max, mert_last = int(primes[-1]), float(mert[-1])
+        del mert
+    last_failure = {}
+    for k in uniq:
+        if first_hold[k] is None:
+            last_failure[k] = m_max
+        elif last_fail[k] is None and first_hold[k] > 1:
+            last_failure[k] = first_hold[k] - 1
+        else:
+            last_failure[k] = last_fail[k]
+    return SweepSummary(m_max=m_max, p_max=p_max, first_hold=first_hold,
+                        final_deviation=mert_last - float(_rhs_log(np.array([p_max]))[0]),
+                        last_failure=last_failure, fails_after_hold=fails_after)

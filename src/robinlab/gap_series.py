@@ -16,10 +16,13 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .primes import PrimeTable, primes_up_to, table_for_count
-from .summation import prefix_sums
+from .primes import DEFAULT_SEGMENT_ODDS, PrimeTable, primes_through, primes_up_to, table_for_count
+from .summation import PrefixCarry, prefix_sums
 
 DEFAULT_CHECKPOINT_EVERY = 100_000
+# bytes per prime that one streamed segment holds at its peak, from
+# tracemalloc: the segment, the carried prefix's 24 and one work array
+SEGMENT_BYTES_PER_PRIME = 32
 
 
 def gap_terms(primes: np.ndarray) -> np.ndarray:
@@ -64,6 +67,7 @@ def series_scan(
     checkpoint_every: int | None = None,
     on_checkpoint: Callable[[GapCheckpoint], None] | None = None,
     table: PrimeTable | None = None,
+    segment_size: int = DEFAULT_SEGMENT_ODDS,
 ) -> GapSeriesState:
     """Sum the series over consecutive prime pairs drawn from primes <= limit.
 
@@ -73,35 +77,49 @@ def series_scan(
     given it fires every `checkpoint_every` terms and always on the final
     term. Running_sup is the largest partial sum seen so far and sup_at the
     first index achieving it.
+
+    Without a table the primes are sieved one segment at a time, and only
+    running state outlives a segment: the prefix carry, the sup and one
+    look-ahead prime. Memory does not grow with the limit.
     """
     if limit < 3:
         raise ValueError(f"limit must be >= 3 for at least one pair, got {limit}")
     if checkpoint_every is not None and checkpoint_every < 1:
         raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
-    if table is None:
-        table = primes_up_to(limit)
-    if table.limit < limit:
-        raise ValueError(f"prime table covers {table.limit}, scan needs {limit}")
-    idx = table.pi(limit)
-    primes = table.primes[:idx]
-    if primes.size < 2:
+    every = checkpoint_every or DEFAULT_CHECKPOINT_EVERY
+    carry = PrefixCarry()
+    n, sup, sup_at, last = 0, -math.inf, 0, None
+    pairs = np.empty(0, dtype=np.int64)
+    for seg in primes_through(limit, table=table, segment_size=segment_size,
+                              bytes_per_prime=SEGMENT_BYTES_PER_PRIME):
+        # the previous segment's last prime opens this segment's first pair
+        pairs = np.concatenate((pairs[-1:], seg))
+        del seg
+        if pairs.size < 2:
+            continue
+        terms = gap_terms(pairs)
+        sums = prefix_sums(terms, carry)
+        if on_checkpoint is not None:
+            sups = np.maximum(np.maximum.accumulate(sums), sup)
+            for i in range(every - 1 - n % every, terms.size, every):
+                on_checkpoint(GapCheckpoint(n=n + i + 1, p_n=int(pairs[i]), gap=int(pairs[i + 1] - pairs[i]),
+                                            term=float(terms[i]), partial_sum=float(sums[i]),
+                                            running_sup=float(sups[i])))
+            del sups
+        top = int(np.argmax(sums))
+        if sums[top] > sup:
+            sup, sup_at = float(sums[top]), n + top + 1
+        n += terms.size
+        last = GapCheckpoint(n=n, p_n=int(pairs[-2]), gap=int(pairs[-1] - pairs[-2]), term=float(terms[-1]),
+                             partial_sum=float(sums[-1]), running_sup=sup)
+        del terms, sums
+    if last is None:
         raise ValueError(f"no prime pair below {limit}")
-    terms = gap_terms(primes)
-    sums = prefix_sums(terms)
-    last = terms.size
-    if on_checkpoint is not None:
-        sups = np.maximum.accumulate(sums)
-        every = checkpoint_every or DEFAULT_CHECKPOINT_EVERY
-        for n in [*range(every, last, every), last]:
-            i = n - 1
-            on_checkpoint(GapCheckpoint(n=n, p_n=int(primes[i]), gap=int(primes[n] - primes[i]),
-                                        term=float(terms[i]), partial_sum=float(sums[i]),
-                                        running_sup=float(sups[i])))
-    top = int(np.argmax(sums))
-    partial = float(sums[-1])
-    return GapSeriesState(n=last, p_n=int(primes[last - 1]), partial_sum=partial,
-                          compensation=partial - float(np.cumsum(terms)[-1]),
-                          running_sup=float(sums[top]), sup_at=top + 1)
+    if on_checkpoint is not None and n % every:
+        on_checkpoint(last)
+    return GapSeriesState(n=n, p_n=last.p_n, partial_sum=last.partial_sum,
+                          compensation=last.partial_sum - carry.plain,
+                          running_sup=sup, sup_at=sup_at)
 
 
 def equivalence_check(
@@ -193,46 +211,65 @@ def theta_inequality_check(
     *,
     checkpoint_every: int | None = None,
     table: PrimeTable | None = None,
+    segment_size: int = DEFAULT_SEGMENT_ODDS,
 ) -> ThetaCheckResult:
     """Check theta(p) <= p + c0 * sqrt(p) * log(p)**2 at every prime p <= limit.
 
     c_needed is the smallest constant that would make the bound tight at p;
     a prime satisfies the bound exactly when c_needed <= c0. Records are
     kept at the checkpoint cadence, always for the last prime, and always
-    for the first failure if one occurs.
+    for the first failure if one occurs. Without a table the primes are
+    sieved one segment at a time, and besides the records only running
+    state outlives a segment: the theta carry, the largest c_needed and the
+    first failure.
     """
     if limit < 2:
         raise ValueError(f"limit must be >= 2 so there is a prime to check, got {limit}")
     if checkpoint_every is not None and checkpoint_every < 1:
         raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
-    if table is None:
-        table = primes_up_to(limit)
-    if table.limit < limit:
-        raise ValueError(f"prime table covers {table.limit}, check needs {limit}")
-    idx = table.pi(limit)
-    primes = table.primes[:idx]
-    lp = np.log(primes)
-    theta = prefix_sums(lp)
-    c_needed = (theta - primes) / (np.sqrt(primes) * lp * lp)
     every = checkpoint_every or DEFAULT_CHECKPOINT_EVERY
-    keep = {*range(every - 1, idx, every), idx - 1}
-    satisfied = c_needed <= c0
-    failures = np.flatnonzero(~satisfied)
-    first_failure = None
-    if failures.size:
-        first_failure = int(primes[failures[0]])
-        keep.add(int(failures[0]))
-    records = [ThetaCheckRecord(p_n=int(primes[i]), theta=float(theta[i]),
-                                c_needed=float(c_needed[i]), satisfied=bool(satisfied[i]))
-               for i in sorted(keep)]
-    top = int(np.argmax(c_needed))
+    carry = PrefixCarry()
+    checked, top_c, top_at, first_failure = 0, -math.inf, 0, None
+    records: list[ThetaCheckRecord] = []
+    for primes in primes_through(limit, table=table, segment_size=segment_size,
+                                 bytes_per_prime=SEGMENT_BYTES_PER_PRIME):
+        lp = np.log(primes)
+        theta = prefix_sums(lp, carry)
+        # (theta - p) / (sqrt(p) * lp * lp), in place to hold one array fewer
+        scale = np.sqrt(primes)
+        scale *= lp
+        scale *= lp
+        del lp
+        c_needed = theta - primes
+        c_needed /= scale
+        del scale
+        satisfied = c_needed <= c0
+        keep = set(range(every - 1 - checked % every, primes.size, every))
+        if first_failure is None and not satisfied.all():
+            i = int(np.argmin(satisfied))
+            first_failure = int(primes[i])
+            keep.add(i)
+
+        def record(i: int) -> ThetaCheckRecord:
+            return ThetaCheckRecord(p_n=int(primes[i]), theta=float(theta[i]),
+                                    c_needed=float(c_needed[i]), satisfied=bool(satisfied[i]))
+
+        records += map(record, sorted(keep))
+        last = record(primes.size - 1)
+        top = int(np.argmax(c_needed))
+        if c_needed[top] > top_c:
+            top_c, top_at = float(c_needed[top]), int(primes[top])
+        checked += primes.size
+        del theta, c_needed, satisfied
+    if not records or records[-1].p_n != last.p_n:
+        records.append(last)
     return ThetaCheckResult(
         limit=limit,
         c0=c0,
         records=records,
         all_satisfied=first_failure is None,
-        max_c_needed=float(c_needed[top]),
-        max_c_needed_at=int(primes[top]),
+        max_c_needed=top_c,
+        max_c_needed_at=top_at,
         first_failure=first_failure,
-        checked=idx,
+        checked=checked,
     )

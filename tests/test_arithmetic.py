@@ -119,6 +119,29 @@ def test_factorize_all_known_batch(monkeypatch, cpus):
     assert multiprocessing.active_children() == []
 
 
+def test_factorize_all_pool_follows_rho_work(monkeypatch):
+    # forty cofactors near 2**20 stay here; four pointwise-shaped
+    # semiprimes, a 31-bit prime times a 32-bit one, go to the pool
+    pools = []
+    pool_map = multiprocessing.pool.Pool.map
+
+    def counted_map(self, *args, **kwargs):
+        pools.append(self)
+        return pool_map(self, *args, **kwargs)
+
+    monkeypatch.setattr(multiprocessing.pool.Pool, "map", counted_map)
+    _set_cpus(monkeypatch, 2)
+    small = [1009 * 1013, 1013 * 1021] * 20
+    assert [f.factors for f in factorize_all(small)] == [((1009, 1), (1013, 1)), ((1013, 1), (1021, 1))] * 20
+    assert pools == []
+    rng = random.Random(22)
+    pairs = [(_random_prime(rng, 31), _random_prime(rng, 32)) for _ in range(4)]
+    got = factorize_all([p * q for p, q in pairs])
+    assert [f.factors for f in got] == [((p, 1), (q, 1)) for p, q in pairs]
+    assert len(pools) == 1
+    assert multiprocessing.active_children() == []
+
+
 class RhoFailure(Exception):
     pass
 

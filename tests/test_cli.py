@@ -15,6 +15,8 @@ import robinlab.cli
 import robinlab.robin
 from robinlab.arithmetic import factorize, is_prime, sigma_of
 from robinlab.cli import RowSink, main
+from robinlab.gap_series import series_scan
+from robinlab.summation import PREFIX_BYTES_PER_TERM
 
 PRIMES_30 = [
     "n,p_n", "1,2", "2,3", "3,5", "4,7", "5,11",
@@ -156,6 +158,19 @@ def test_robin_eval_rejects_bad_n_before_any_pool(capsys, monkeypatch):
             assert out.err.startswith(f"error: factorize needs 1 <= n < 2**64, got {bad}")
 
 
+def test_robin_eval_small_cofactors_run_in_process(capsys, monkeypatch):
+    # 1022117 = 1009 * 1013 and 1034273 = 1013 * 1021: rho splits them in
+    # microseconds, far less than a pool costs to start
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was built")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(multiprocessing, "get_context", no_pool)
+    assert main(["robin-eval", "1022117", "1034273"]) == 0
+    rows = capsys.readouterr().out.splitlines()[1:]
+    assert [row.split(",")[:2] for row in rows] == [["1022117", "1024140"], ["1034273", "1036308"]]
+
+
 def test_cli_import_leaves_multiprocessing_unloaded():
     code = "import sys, robinlab.cli; print('multiprocessing' in sys.modules)"
     cp = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
@@ -212,6 +227,20 @@ def test_condition7_rows_and_footers(run_cli):
     assert math.isclose(float(rhs), 1.0531006602286435, rel_tol=1e-15)
     assert "condition7: k=1 first holds at m=3" in cp.stderr
     assert "deviation=0.26865517975367603" in cp.stderr
+
+
+def test_condition7_says_where_the_condition_holds_from(capsys):
+    assert main(["condition7", "--m-max", "100", "--k", "1,4,5", "--checkpoint-every", "100"]) == 0
+    assert capsys.readouterr().err.splitlines()[:3] == [
+        "# condition7: k=1 first holds at m=3; holds on [3, 100]",
+        "# condition7: k=4 first holds at m=17, fails again at 2 m, last at m=21; holds on [22, 100]",
+        "# condition7: k=5 first holds at m=35, fails again at 4 m, last at m=46; holds on [47, 100]",
+    ]
+    assert main(["condition7", "--m-max", "42", "--k", "5,6"]) == 0
+    assert capsys.readouterr().err.splitlines()[:2] == [
+        "# condition7: k=5 first holds at m=35, fails again at 2 m, last at m=42",
+        "# condition7: k=6 never holds for m <= 42",
+    ]
 
 
 def test_zeta_row(run_cli):
@@ -296,6 +325,19 @@ def test_memory_budget_env(run_cli):
     assert cp.returncode == 2
     assert "budget" in cp.stderr
     assert cp.stdout == ""
+
+
+def test_gap_series_fits_a_budget_of_one_segment(run_cli, table7):
+    # the prefix sums over the whole table below 1e7 alone need 15.9 MB
+    assert PREFIX_BYTES_PER_TERM * 664_578 > 8 << 20
+    cp = run_cli(["gap-series", "--preset", "paper45"], env_extra={"ROBINLAB_MEM_BUDGET_MB": "8"})
+    assert cp.returncode == 0, cp.stderr
+    # the default run's rows, from the table path of the same scan
+    out = io.StringIO()
+    sink = RowSink(out, "csv", robinlab.cli.CSV_HEADERS["gap-series"])
+    series_scan(10_000_000, checkpoint_every=100_000, table=table7,
+                on_checkpoint=lambda c: sink.write([c.n, c.p_n, c.gap, c.term, c.partial_sum, c.running_sup]))
+    assert cp.stdout == out.getvalue()
 
 
 def test_theta_check_explicit_c0(run_cli):

@@ -289,3 +289,45 @@ def test_sweep_reads_rhs_only_where_needed(table7, monkeypatch):
     assert len(rows) == 35
     # one first chunk for every k, seven row values and the final deviation
     assert sum(evaluated) == euler_products.FIRST_HOLD_CHUNK + 7 + 1
+
+
+# (odds per segment, largest m_max): the tiniest segments sieve a shorter range
+SWEEP_STREAM_CASES = [(3, 300), (7, 800), (1000, 20_000)]
+
+
+@pytest.mark.parametrize("segment_size, top", SWEEP_STREAM_CASES)
+def test_streamed_sweep_equals_table_path(table7, segment_size, top):
+    ks = [1, 2, 3, 4, 5, 10, 2]
+    for m_max, every in ((1, 1), (2, 1), (50, 1), (top, 1 if top < 2000 else 97)):
+        a, b = [], []
+        want = condition_sweep(m_max, ks, checkpoint_every=every, table=table7, on_row=a.append)
+        got = condition_sweep(m_max, ks, checkpoint_every=every, segment_size=segment_size, on_row=b.append)
+        assert got == want and b == a, (m_max, every)
+
+
+@pytest.mark.parametrize("block", [1, 5, 64])
+def test_last_failure_equals_full_vector_reference(table7, monkeypatch, block):
+    monkeypatch.setattr(euler_products, "HOLD_BLOCK", block)
+    ks, m_max = list(range(1, 11)), 100_000 if block == 64 else 10_000
+    summary = condition_sweep(m_max, ks, table=table7)
+    # the last failure and the failures past the first hold, from the verdict at every m
+    mert, rhs, prod, first_hold = _reference_sweep(table7, m_max, ks)
+    fails = mert[:, None] + prod > rhs[:, None]
+    last, after = {}, {}
+    for j, k in enumerate(ks):
+        bad = np.flatnonzero(fails[:, j])
+        last[k] = int(bad[-1]) + 1 if bad.size else None
+        after[k] = 0 if first_hold[k] is None else int(np.count_nonzero(bad >= first_hold[k]))
+    assert summary.first_hold == first_hold
+    assert summary.last_failure == last
+    assert summary.fails_after_hold == after
+    # the bound that lets a block hold without the exact right-hand side
+    floor = EULER_GAMMA + np.log(np.log(table7.primes[:m_max]))
+    assert np.abs(floor - rhs).max() < euler_products.RHS_MARGIN / 100
+
+
+def test_last_failure_golden_values_below_1e7(table7):
+    summary = condition_sweep(664_579, [4, 5, 10], table=table7)
+    assert summary.first_hold == {4: 17, 5: 35, 10: 1401}
+    assert summary.last_failure == {4: 21, 5: 46, 10: 6145}
+    assert summary.fails_after_hold == {4: 2, 5: 4, 10: 2495}

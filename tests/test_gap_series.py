@@ -1,16 +1,19 @@
 """Gap series accumulation, checkpoints, and the theta inequality scan."""
+import itertools
 import math
+import tracemalloc
 
 import pytest
 
 from robinlab.gap_series import (
+    SEGMENT_BYTES_PER_PRIME,
     equivalence_check,
     gap_term,
     series_scan,
     theta_bound_constants,
     theta_inequality_check,
 )
-from robinlab.primes import primes_up_to
+from robinlab.primes import _segment_bytes, primes_up_to
 
 FIRST_TERM = -0.45161067402361027
 
@@ -141,3 +144,38 @@ def test_theta_check_flag_matches_threshold(table7):
     for r in res.records:
         assert r.satisfied == (r.c_needed <= res.c0)
     assert res.max_c_needed == max(r.c_needed for r in res.records)
+
+
+# (odds per segment, largest limit): the tiniest segments sieve a shorter range
+STREAM_CASES = [(3, 1_000), (7, 3_000), (1000, 50_000)]
+
+
+@pytest.mark.parametrize("segment_size, top", STREAM_CASES)
+def test_streamed_scans_equal_table_path(table7, segment_size, top):
+    # c0 = -3 fails at p = 2, -0.5 first fails later, 1 never fails
+    c0s = itertools.cycle([-3.0, -0.5, 1.0, -0.5])
+    for limit in (3, 5, 6, 100, top - 7, top):
+        for every in (1, 7, None):
+            a, b = [], []
+            want = series_scan(limit, checkpoint_every=every, on_checkpoint=a.append, table=table7)
+            got = series_scan(limit, checkpoint_every=every, on_checkpoint=b.append, segment_size=segment_size)
+            assert got == want and b == a, (limit, every)
+            c0 = next(c0s)
+            want = theta_inequality_check(limit, c0, checkpoint_every=every, table=table7)
+            got = theta_inequality_check(limit, c0, checkpoint_every=every, segment_size=segment_size)
+            assert got == want, (limit, every, c0)
+
+
+def test_streamed_scan_memory_is_one_segment():
+    segment_size = 1 << 16
+    budgeted = _segment_bytes(2, 2 * segment_size, SEGMENT_BYTES_PER_PRIME)
+    peaks = []
+    for limit in (1_000_000, 4_000_000):
+        tracemalloc.start()
+        try:
+            series_scan(limit, segment_size=segment_size)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) <= budgeted
+    assert peaks[1] <= peaks[0] * 1.05

@@ -9,7 +9,7 @@ from robinlab.errors import CapacityError, memory_budget_bytes
 from robinlab.euler_products import _factor_logs, _mertens_terms, condition_sweep
 from robinlab.gap_series import gap_terms, series_scan, theta_inequality_check
 from robinlab.primes import primes_up_to
-from robinlab.summation import PREFIX_BYTES_PER_TERM, prefix_sums
+from robinlab.summation import PREFIX_BYTES_PER_TERM, PrefixCarry, prefix_sums
 
 
 def fsum_prefixes(terms, ends):
@@ -70,16 +70,20 @@ def test_reruns_and_prefixes_identical():
         assert np.array_equal(prefix_sums(x[:m]), full[:m])
 
 
-def test_real_term_vectors_equal_fsum(table7):
+@pytest.fixture(scope="module")
+def real_terms(table7):
     primes = table7.primes[: table7.pi(10**7)]
-    vectors = {
+    return {
         "gap": gap_terms(primes),
         "log p": np.log(primes),
         "mertens": _mertens_terms(primes),
         "zeta k=1": -_factor_logs(primes, 1),
     }
+
+
+def test_real_term_vectors_equal_fsum(real_terms):
     rng = np.random.default_rng(300)
-    for name, terms in vectors.items():
+    for name, terms in real_terms.items():
         ends = np.unique(rng.integers(1, terms.size + 1, size=300)).tolist()
         got = prefix_sums(terms)[np.array(ends) - 1].tolist()
         assert got == fsum_prefixes(terms, ends), name
@@ -110,3 +114,20 @@ def test_budget_covers_kernel_transients(monkeypatch):
     monkeypatch.delenv("ROBINLAB_MEM_BUDGET_MB")
     table_1e7 = 8 * 1.3 * 10**7 / math.log(10**7)
     assert PREFIX_BYTES_PER_TERM * 664_579 + table_1e7 <= memory_budget_bytes()
+
+
+@pytest.mark.parametrize("width", [1, 7, 1000])
+def test_carried_chunks_equal_one_shot(real_terms, width):
+    # the vectors above fed through a carry, at most 1000 chunks of each
+    rng = np.random.default_rng(20261018)
+    vectors = [mixed_terms(rng, n) for n in (1, 2, 3, 2000)]
+    vectors += [np.array([1e16, 1.0, -1e16]), np.array([-0.0, -0.0, 0.0, -0.0]), np.array([]),
+                *real_terms.values()]
+    for x in vectors:
+        x = x[: 1000 * width]
+        carry = PrefixCarry()
+        got = np.concatenate([prefix_sums(x[i : i + width], carry) for i in range(0, max(x.size, 1), width)])
+        assert np.array_equal(got.view(np.int64), prefix_sums(x).view(np.int64)), (width, x.size)
+        if x.size:
+            assert carry.plain == np.cumsum(x)[-1]
+            assert carry.plain + carry.error == got[-1]
