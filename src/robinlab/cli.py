@@ -89,7 +89,11 @@ def fmt_column(values: Sequence[object]) -> list[str]:
 
 
 class RowSink:
-    """Writes rows as CSV (with header) or as a JSON array of objects."""
+    """Writes rows as CSV (with header) or as a JSON array of objects.
+
+    The CSV header goes out with the first row, or at finish() if there is
+    none, so a command that rejects its input before any row prints nothing.
+    """
 
     def __init__(self, stream, fmt: str, columns: Sequence[str]) -> None:
         self.stream = stream
@@ -97,14 +101,20 @@ class RowSink:
         self.columns = list(columns)
         self._json_rows: list[str] = []
         self._csv = None
+        self._header_due = fmt == "csv"
         if fmt == "csv":
             self._csv = csv.writer(stream, lineterminator="\n")
+
+    def _write_header(self) -> None:
+        if self._header_due:
+            self._header_due = False
             self._csv.writerow(self.columns)
 
     def write(self, values: Sequence[object]) -> None:
         if len(values) != len(self.columns):
             raise ValueError(f"row has {len(values)} fields, header has {len(self.columns)}")
         if self._csv is not None:
+            self._write_header()
             self._csv.writerow([fmt_value(v) for v in values])
             return
         fields = []
@@ -133,6 +143,7 @@ class RowSink:
             for row in zip(*columns):
                 self.write(row)
             return
+        self._write_header()
         texts = [fmt_column(c) for c in columns]
         body = "".join([",".join(row) + "\n" for row in zip(*texts)])
         if (len(texts) < 2 or '"' in body or "\r" in body or body.count("\n") != rows
@@ -143,6 +154,7 @@ class RowSink:
         self.stream.write(body)
 
     def finish(self) -> None:
+        self._write_header()
         if self._csv is None:
             if self._json_rows:
                 self.stream.write("[\n" + ",\n".join(self._json_rows) + "\n]\n")

@@ -37,6 +37,11 @@ HOLD_BLOCK = 64
 # differ, so numpy's value less this is a lower bound of _rhs_log
 RHS_MARGIN = 1e-12
 
+# relative error bound, with room to spare, of the computed log of a partial
+# zeta product, less Sum2's gamma**2 term (derived in zeta_enclosure); it
+# also raises the tail bound past its own roundings
+ZETA_LOG_REL_ERR = 2.0**-50
+
 # bytes per prime that one streamed segment holds at its peak, from
 # tracemalloc: the segment, the Mertens prefix, one k's terms and the
 # carried prefix's 24
@@ -57,11 +62,10 @@ def _table_for(m: int, table: PrimeTable | None) -> PrimeTable:
 def _libm(fn: Callable[..., float], values: np.ndarray, *args: object) -> np.ndarray:
     """fn(v, *args) for each v, by libm as in scalar code; map keeps the loop in C.
 
-    numpy's SIMD log, log1p and power differ from libm in the last bit on up
-    to 35k of the primes below 1e7; for log1p libm was closer in 28 of 29.
-    So pow, log and every log1p argument outside glibc's tiny branch (see
-    _log1p_neg) go through here; libm pow(p, -2) also differs from the
-    correctly rounded 1/(p*p) on 570 of those primes.
+    numpy's SIMD log and log1p differ from libm in the last bit on up to 35k
+    of the primes below 1e7; for log1p libm was closer in 28 of 29. So log
+    and every log1p argument outside glibc's tiny branch (see _log1p_neg) go
+    through here. pow does not: _factor_logs takes it from np.float_power.
     """
     return np.fromiter(map(fn, memoryview(values), *map(repeat, args)), dtype=np.float64,
                        count=values.size)
@@ -90,8 +94,14 @@ def _log1p_neg(x: np.ndarray) -> np.ndarray:
 
 
 def _factor_logs(primes: np.ndarray, k: int) -> np.ndarray:
-    """log (1 - p**-(k+1)) for each prime; all terms are negative."""
-    return _log1p_neg(_libm(math.pow, primes.astype(np.float64), -(k + 1.0)))
+    """log (1 - p**-(k+1)) for each prime; all terms are negative.
+
+    p**-(k+1) is libm's pow, called on each element by np.float_power: that
+    ufunc has no SIMD loop, while np.power's differs from libm on about 35k
+    of the primes below 1e7. libm pow(p, -2) also differs from the correctly
+    rounded 1/(p*p) on 570 of those primes.
+    """
+    return _log1p_neg(np.float_power(primes, -(k + 1.0)))
 
 
 def _rhs_log(primes: np.ndarray) -> np.ndarray:
@@ -209,15 +219,35 @@ def zeta_enclosure(k: int, m: int, *, table: PrimeTable | None = None) -> Interv
     """Two-sided enclosure of zeta(k+1) from the first m Euler factors.
 
     Lower end is the partial product, upper end multiplies in the closed-form
-    tail bound anchored at p_m. The true value always lies inside.
+    tail bound anchored at p_m. The true value always lies inside: both ends
+    round outward from the float error bound of L, the computed log of the
+    partial product. With u = 2**-53:
+    - Each term log1p(-p**-(k+1)) is one libm pow and one libm log1p. The
+      glibc manual's table of known maximum errors gives at most 1 ulp for
+      pow, log1p and exp on x86_64, so 2u relative. log1p(-x) has condition
+      number at most 1.16 for x <= 1/4, so each term is within
+      1.16*2u + 2u = 4.32u of its exact value. A p**-(k+1) below 2**-1022 is
+      off by at most 2**-1074 instead, far below u*L, since L > 2**-62.
+    - The terms share one sign, so Sum2 adds at most (u + gamma**2) * L,
+      gamma = (m-1)u / (1 - (m-1)u) (Ogita, Rump and Oishi 2005, Prop. 4.5).
+    err = (2**-50 + gamma**2) * L exceeds that 5.32u + gamma**2 by enough to
+    absorb the rounding of L - err and L + err. lo is the float below
+    exp(L - err): one step covers exp's error of at most 1 ulp. hi is the
+    float above exp(L + err + tail), with tail_bound_log raised by a factor
+    1 + 2**-50 past its own roundings (a division, a pow and a product). So
+    every width is at least one ulp.
     """
     _check_k(k)
     if m < 1:
         raise ValueError(f"m must be >= 1, got {m}")
     table = _table_for(m, table)
     log_partial = _log_zeta_partial(m, k, table)
-    lo = math.exp(log_partial)
-    hi = math.exp(log_partial + tail_bound_log(float(k + 1), float(table.nth(m))))
+    u = 2.0**-53
+    gamma = (m - 1) * u / (1.0 - (m - 1) * u)
+    err = (ZETA_LOG_REL_ERR + gamma * gamma) * log_partial
+    tail = tail_bound_log(float(k + 1), float(table.nth(m))) * (1.0 + ZETA_LOG_REL_ERR)
+    lo = math.nextafter(math.exp(log_partial - err), 0.0)
+    hi = math.nextafter(math.exp(log_partial + err + tail), math.inf)
     return Interval(lo=lo, hi=hi)
 
 

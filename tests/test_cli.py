@@ -247,7 +247,7 @@ def test_zeta_row(run_cli):
     cp = run_cli(["zeta", "--k", "1", "--m", "4"])
     assert cp.returncode == 0
     assert cp.stdout.splitlines()[1] == (
-        "1,4,7,1.5950520833333333,2.1225552628554736,0.52750317952214032")
+        "1,4,7,1.5950520833333324,2.1225552628554754,0.52750317952214298")
 
 
 def test_gap_series_row_and_footer(run_cli):
@@ -317,6 +317,23 @@ def test_bad_configs_exit_2(run_cli):
     cp = run_cli(["primes", "--limit", "100", "--threads", "0"])  # no such option
     assert cp.returncode == 2
     assert "unrecognized arguments: --threads 0" in cp.stderr
+
+
+@pytest.mark.parametrize("args", [
+    ["condition7", "--m-max", "0", "--k", "1"],
+    ["gap-series", "--limit", "2"],
+    ["robin-extremal", "--m-max", "0", "--budget", "5"],
+])
+def test_rejected_input_prints_no_header(capsys, args):
+    assert main(args) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("error:")
+
+
+def test_zero_row_run_prints_header(capsys):
+    assert main(["primes", "--limit", "1"]) == 0
+    assert capsys.readouterr().out == "n,p_n\n"
 
 
 def test_memory_budget_env(run_cli):

@@ -1,5 +1,6 @@
 """Mertens products, the finite product condition, and zeta enclosures."""
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -151,6 +152,49 @@ def test_enclosure_fourth_power(table7):
     assert iv.hi - iv.lo < 1e-4
 
 
+def _bernoulli(n):
+    """B_0..B_n as Fractions, from sum_{j<=i} C(i+1, j) B_j = 0."""
+    b = [Fraction(1)]
+    for i in range(1, n + 1):
+        b.append(-sum(math.comb(i + 1, j) * b[j] for j in range(i)) / (i + 1))
+    return b
+
+
+def _zeta_decimal(s, bernoulli, n=40):
+    """zeta(s) by Euler-Maclaurin from n on, with terms up to B_40: error far below 1e-40."""
+    big = Decimal(n)
+    total = sum(Decimal(i) ** -s for i in range(1, n)) + big ** (1 - s) / (s - 1) + big ** -s / 2
+    rising = Decimal(s)  # s(s+1)...(s+2j-2)
+    for j in range(1, len(bernoulli) // 2 + 1):
+        coeff = bernoulli[2 * j] / math.factorial(2 * j)
+        total += Decimal(coeff.numerator) / coeff.denominator * rising * big ** (1 - s - 2 * j)
+        rising *= (s + 2 * j - 1) * (s + 2 * j)
+    return total
+
+
+def test_enclosure_contains_zeta_on_grid(table7):
+    # both ends against zeta(k+1) to 40 digits, and lo against the exact
+    # partial product, which lies below zeta(k+1)
+    bernoulli = _bernoulli(40)
+    with localcontext() as ctx:
+        ctx.prec = 50
+        primes = [Decimal(p) for p in table7.primes[:2000].tolist()]
+        power = primes
+        for s, pi_power in ((2, "1.644934066848226436472415166646025189218949901"),  # pi**2/6
+                            (4, "1.082323233711138191516003696541167902774750952")):  # pi**4/90
+            assert abs(_zeta_decimal(s, bernoulli) - Decimal(pi_power)) < Decimal("1e-45")
+        for k in range(1, 61):
+            zeta = _zeta_decimal(k + 1, bernoulli)
+            power = [q * p for q, p in zip(power, primes)]  # p**(k+1)
+            partial, done = Decimal(1), 0
+            for m in (1, 2, 3, 5, 10, 30, 100, 300, 1000, 2000):
+                for q in power[done:m]:
+                    partial += partial / (q - 1)
+                done = m
+                iv = zeta_enclosure(k, m, table=table7)
+                assert Decimal(iv.lo) <= partial and zeta <= Decimal(iv.hi), (k, m, iv)
+
+
 def test_sweep_summary(table7):
     summary = condition_sweep(1000, [1, 2, 3, 4, 5], table=table7)
     assert summary.first_hold == {1: 3, 2: 5, 3: 10, 4: 17, 5: 35}
@@ -191,6 +235,35 @@ def test_factor_logs_equal_libm(table7):
     for k in (1, 2, 3, 4, 5, 60):
         old = _libm(math.log1p, -_libm(pow, primes.astype(np.float64), -(k + 1)))
         assert np.array_equal(_factor_logs(primes, k).view(np.int64), old.view(np.int64)), k
+
+
+def test_float_power_equals_libm_pow():
+    # np.float_power's float64 loop calls libm pow on each element; a numpy
+    # build that sends it to SIMD code must fail here, not be skipped
+    rng = np.random.default_rng(20123)
+    x = np.floor(np.exp2(rng.uniform(1.0, 53.0, size=200_000)))  # integers in [2, 2**53)
+    e = rng.integers(2, 62, size=x.size)
+    got = np.empty_like(x)
+    for k in range(2, 62):
+        at = e == k
+        got[at] = np.float_power(x[at].astype(np.int64), -float(k))
+    want = np.fromiter(map(math.pow, x.tolist(), (-e).astype(np.float64).tolist()), np.float64, x.size)
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    tiny = np.finfo(np.float64).tiny
+    assert np.count_nonzero((got > 0) & (got < tiny)) > 1000  # subnormal results
+    assert np.count_nonzero(got == 0) > 1000  # results that underflow to 0
+
+
+def test_sweep_takes_no_pow_from_libm(table7, monkeypatch):
+    seen = set()
+
+    def spy(fn, values, *args):
+        seen.add(fn)
+        return _libm(fn, values, *args)
+
+    monkeypatch.setattr(euler_products, "_libm", spy)
+    condition_sweep(20000, [1, 2, 3, 4, 5], checkpoint_every=1000, table=table7, on_row=lambda row: None)
+    assert seen == {math.log1p, math.log}
 
 
 def _tiny_edges():
