@@ -19,7 +19,6 @@ from .arithmetic import (
 )
 from .errors import CapacityError
 from .euler_products import (
-    ConditionRow,
     ConditionVerdict,
     DeficitVerdict,
     Interval,
@@ -33,9 +32,7 @@ from .euler_products import (
     zeta_enclosure,
 )
 from .gap_series import (
-    GapCheckpoint,
     GapSeriesState,
-    ThetaCheckRecord,
     ThetaCheckResult,
     equivalence_check,
     gap_term,
@@ -73,13 +70,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CapacityError",
-    "ConditionRow",
     "ConditionVerdict",
     "DeficitVerdict",
     "EULER_GAMMA",
     "EXP_GAMMA",
     "Factorization",
-    "GapCheckpoint",
     "GapSeriesState",
     "Interval",
     "PrimeTable",
@@ -90,7 +85,6 @@ __all__ = [
     "ScanResult",
     "SigmaTable",
     "SweepSummary",
-    "ThetaCheckRecord",
     "ThetaCheckResult",
     "ThetaRecord",
     "bound_rhs",

@@ -16,10 +16,14 @@ import io
 import itertools
 import logging
 import sys
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
-# factorize and sigma_sieve are unused here, but bench/tracer.py wraps cli.factorize and cli.sigma_sieve
+import numpy as np
+
+# factorize, sigma_sieve and robin_check are unused here, but bench/tracer.py
+# wraps cli.factorize, cli.sigma_sieve and cli.robin_check by name
 from .arithmetic import factorize, factorize_all, sigma_of, sigma_sieve  # noqa: F401
 from .errors import CapacityError
 from .euler_products import condition_sweep, zeta_enclosure
@@ -29,7 +33,7 @@ from .gap_series import (
     theta_inequality_check,
 )
 from .primes import DEFAULT_SEGMENT_ODDS, chebyshev_theta, primes_up_to, table_for_count
-from .robin import extremal_candidates, robin_check, robin_columns, scan_range
+from .robin import extremal_candidates, robin_check, robin_columns, scan_range  # noqa: F401
 
 PAPER45_LIMIT = 10_000_000
 PAPER45_REFERENCE = 1.231
@@ -37,6 +41,10 @@ PAPER45_REFERENCE = 1.231
 # write: one numpy call per candidate doubles the row time, holding every
 # candidate or the whole output at once grows peak memory with --budget
 EXTREMAL_CHUNK = 256
+# rows that write_columns formats at a time, so a dense run's Python values
+# and text stay this small however many rows a segment hands over; larger
+# chunks were no faster and cost peak memory
+WRITE_CHUNK = 1 << 8
 
 CSV_HEADERS = {
     "primes": ["n", "p_n"],
@@ -91,23 +99,21 @@ def fmt_column(values: Sequence[object]) -> list[str]:
 class RowSink:
     """Writes rows as CSV (with header) or as a JSON array of objects.
 
-    The CSV header goes out with the first row, or at finish() if there is
-    none, so a command that rejects its input before any row prints nothing.
+    The CSV header, or the JSON array's opening bracket, goes out with the
+    first row, or at finish() if there is none, so a command that rejects
+    its input before any row prints nothing. Rows are written as they come.
     """
 
     def __init__(self, stream, fmt: str, columns: Sequence[str]) -> None:
         self.stream = stream
         self.fmt = fmt
         self.columns = list(columns)
-        self._json_rows: list[str] = []
-        self._csv = None
-        self._header_due = fmt == "csv"
-        if fmt == "csv":
-            self._csv = csv.writer(stream, lineterminator="\n")
+        self._csv = csv.writer(stream, lineterminator="\n") if fmt == "csv" else None
+        self._started = False
 
     def _write_header(self) -> None:
-        if self._header_due:
-            self._header_due = False
+        if not self._started:
+            self._started = True
             self._csv.writerow(self.columns)
 
     def write(self, values: Sequence[object]) -> None:
@@ -124,42 +130,47 @@ class RowSink:
             else:
                 body = fmt_value(v)
             fields.append(f'"{name}": {body}')
-        self._json_rows.append("  {" + ", ".join(fields) + "}")
+        self.stream.write((",\n" if self._started else "[\n") + "  {" + ", ".join(fields) + "}")
+        self._started = True
 
     def write_columns(self, columns: Sequence[Sequence[object]]) -> None:
         """The rows zip(*columns), the same bytes as one write per row.
 
-        CSV formats each column once and writes the chunk in one
-        stream.write. The fields are joined as they are unless one of them
-        holds a comma, quote or line break; then the csv module quotes them
-        as write does. JSON takes the row path.
+        Columns are numpy arrays or lists, formatted WRITE_CHUNK rows at a
+        time; an array's values are those of its tolist(). CSV formats each
+        column of a chunk once and writes the chunk in one stream.write.
+        The fields are joined as they are unless one of them holds a comma,
+        quote or line break; then the csv module quotes them as write does.
+        JSON takes the row path.
         """
         rows = len(columns[0]) if columns else 0
         if len(columns) != len(self.columns):
             raise ValueError(f"got {len(columns)} columns, header has {len(self.columns)}")
         if any(len(c) != rows for c in columns):
             raise ValueError(f"columns differ in length: {[len(c) for c in columns]}")
-        if self._csv is None:
-            for row in zip(*columns):
-                self.write(row)
-            return
-        self._write_header()
-        texts = [fmt_column(c) for c in columns]
-        body = "".join([",".join(row) + "\n" for row in zip(*texts)])
-        if (len(texts) < 2 or '"' in body or "\r" in body or body.count("\n") != rows
-                or body.count(",") != rows * (len(texts) - 1)):
-            buf = io.StringIO()
-            csv.writer(buf, lineterminator="\n").writerows(zip(*texts))
-            body = buf.getvalue()
-        self.stream.write(body)
+        for lo in range(0, rows, WRITE_CHUNK):
+            chunk = [c[lo : lo + WRITE_CHUNK] for c in columns]
+            chunk = [c.tolist() if isinstance(c, np.ndarray) else c for c in chunk]
+            if self._csv is None:
+                for row in zip(*chunk):
+                    self.write(row)
+                continue
+            self._write_header()
+            size = len(chunk[0])
+            texts = [fmt_column(c) for c in chunk]
+            body = "".join([",".join(row) + "\n" for row in zip(*texts)])
+            if (len(texts) < 2 or '"' in body or "\r" in body or body.count("\n") != size
+                    or body.count(",") != size * (len(texts) - 1)):
+                buf = io.StringIO()
+                csv.writer(buf, lineterminator="\n").writerows(zip(*texts))
+                body = buf.getvalue()
+            self.stream.write(body)
 
     def finish(self) -> None:
-        self._write_header()
-        if self._csv is None:
-            if self._json_rows:
-                self.stream.write("[\n" + ",\n".join(self._json_rows) + "\n]\n")
-            else:
-                self.stream.write("[]\n")
+        if self._csv is not None:
+            self._write_header()
+        else:
+            self.stream.write("\n]\n" if self._started else "[]\n")
 
 
 def _info(msg: str) -> None:
@@ -186,18 +197,14 @@ def _route_logging() -> None:
         logger.addHandler(_InfoHandler())
 
 
-def _run_with_sink(cfg: RunConfig, command: str, body) -> int:
-    columns = CSV_HEADERS[command]
-    if cfg.output_path and cfg.output_path != "-":
-        with open(cfg.output_path, "w", newline="") as fh:
-            sink = RowSink(fh, cfg.format, columns)
-            body(sink)
-            sink.finish()
-    else:
-        sink = RowSink(sys.stdout, cfg.format, columns)
-        body(sink)
+@contextmanager
+def _open_sink(cfg: RunConfig, command: str) -> Iterator[RowSink]:
+    """A RowSink on --out or stdout, finished when the block ends without an exception."""
+    to_file = cfg.output_path not in (None, "", "-")
+    with open(cfg.output_path, "w", newline="") if to_file else nullcontext(sys.stdout) as stream:
+        sink = RowSink(stream, cfg.format, CSV_HEADERS[command])
+        yield sink
         sink.finish()
-    return 0
 
 
 def cmd_primes(cfg: RunConfig) -> int:
@@ -205,16 +212,13 @@ def cmd_primes(cfg: RunConfig) -> int:
         raise ValueError("primes needs --limit")
     table = primes_up_to(cfg.limit, segment_size=cfg.segment_size)
     every = cfg.checkpoint_every or 1
-
-    def body(sink: RowSink) -> None:
-        count = table.count
-        for i, p in enumerate(table.primes.tolist(), start=1):
-            if i % every == 0 or i == count:
-                sink.write([i, p])
-
-    rc = _run_with_sink(cfg, "primes", body)
+    n = np.arange(every, table.count + 1, every)
+    if table.count % every:
+        n = np.append(n, table.count)
+    with _open_sink(cfg, "primes") as sink:
+        sink.write_columns([n, table.primes[n - 1]])
     _info(f"primes: limit={cfg.limit} count={table.count}")
-    return rc
+    return 0
 
 
 def cmd_theta(cfg: RunConfig) -> int:
@@ -222,72 +226,51 @@ def cmd_theta(cfg: RunConfig) -> int:
         raise ValueError("theta needs --limit")
     table = primes_up_to(cfg.limit, segment_size=cfg.segment_size)
     rec = chebyshev_theta(cfg.limit, table)
-
-    def body(sink: RowSink) -> None:
+    with _open_sink(cfg, "theta") as sink:
         sink.write([rec.x, rec.theta, rec.pi_x])
-
-    rc = _run_with_sink(cfg, "theta", body)
     _info(f"theta: x={rec.x} theta={fmt_value(rec.theta)} pi_x={rec.pi_x}")
-    return rc
+    return 0
 
 
 def cmd_robin_scan(cfg: RunConfig, lo: int, hi: int, odd_only: bool) -> int:
     result = scan_range(lo, hi, odd_only=odd_only)
-
-    def body(sink: RowSink) -> None:
-        for row in result.violator_rows:
-            sink.write([row.n, row.sigma, row.sigma_ratio, row.bound_ratio, row.delta, row.violates])
-        for row in result.top_rows:
-            sink.write([row.n, row.sigma, row.sigma_ratio, row.bound_ratio, row.delta, row.violates])
-
-    rc = _run_with_sink(cfg, "robin-scan", body)
+    rows = result.violator_rows + result.top_rows
+    with _open_sink(cfg, "robin-scan") as sink:
+        # the header names RobinRow's fields
+        sink.write_columns([[getattr(row, name) for row in rows] for name in sink.columns])
     _info(f"robin-scan: range=[{lo}, {hi}] odd_only={str(odd_only).lower()} "
           f"violators={len(result.violator_rows)} near_ties={len(result.near_ties)}")
     if result.violator_rows:
         _info(f"robin-scan: last violator n={result.violator_rows[-1].n}")
-    return rc
+    return 0
 
 
 def cmd_robin_eval(cfg: RunConfig, ns: Sequence[int]) -> int:
-    rows = []
-    for n, f in zip(ns, factorize_all(ns)):
-        ev = robin_check(f)
-        rows.append([n, sigma_of(f), ev.sigma_ratio, ev.robin_rhs_ratio, ev.delta, ev.violates])
-
-    def body(sink: RowSink) -> None:
-        for row in rows:
-            sink.write(row)
-
-    return _run_with_sink(cfg, "robin-eval", body)
+    fs = factorize_all(ns)
+    sigmas = [sigma_of(f) for f in fs]  # each n and sigma(n) below 2**64
+    _, _, ratio, bound, delta, violates, _ = robin_columns(fs)
+    with _open_sink(cfg, "robin-eval") as sink:
+        sink.write_columns([list(ns), sigmas, ratio, bound, delta, violates])
+    return 0
 
 
 def cmd_robin_extremal(cfg: RunConfig, m_max: int, budget: int, exponent_cap: int | None) -> int:
     cands = extremal_candidates(m_max, budget, exponent_cap=exponent_cap)
-
-    def body(sink: RowSink) -> None:
+    with _open_sink(cfg, "robin-extremal") as sink:
         while fs := list(itertools.islice(cands, EXTREMAL_CHUNK)):
             log_n, _, ratio, bound, delta, violates, special = robin_columns(fs)
             exps = [" ".join([str(e) for _, e in f.factors]) for f in fs]
             sink.write_columns([log_n, exps, ratio, bound, delta, violates, special])
-
-    rc = _run_with_sink(cfg, "robin-extremal", body)
     _info(f"robin-extremal: m_max={m_max} budget={budget}")
-    return rc
+    return 0
 
 
 def cmd_condition7(cfg: RunConfig, m_max: int, k_list: Sequence[int]) -> int:
-    every = cfg.checkpoint_every or 1
-    holder: dict[str, object] = {}
-
-    def body(sink: RowSink) -> None:
-        def on_row(row) -> None:
-            sink.write([row.m, row.p_m, row.k, row.lhs_log, row.rhs_log, row.holds])
-
-        holder["summary"] = condition_sweep(m_max, k_list, checkpoint_every=every, on_row=on_row,
-                                            segment_size=cfg.segment_size)
-
-    rc = _run_with_sink(cfg, "condition7", body)
-    summary = holder["summary"]
+    with _open_sink(cfg, "condition7") as sink:
+        # the sweep's last three columns are its cross-check, not printed
+        summary = condition_sweep(m_max, k_list, checkpoint_every=cfg.checkpoint_every or 1,
+                                  on_rows=lambda columns: sink.write_columns(columns[:6]),
+                                  segment_size=cfg.segment_size)
     for k in k_list:
         at, last = summary.first_hold[k], summary.last_failure[k]
         if at is None:
@@ -301,19 +284,16 @@ def cmd_condition7(cfg: RunConfig, m_max: int, k_list: Sequence[int]) -> int:
         _info(line)
     _info(f"condition7: m_max={summary.m_max} p_max={summary.p_max} "
           f"deviation={fmt_value(summary.final_deviation)}")
-    return rc
+    return 0
 
 
 def cmd_zeta(cfg: RunConfig, k: int, m: int) -> int:
     table = table_for_count(m)
     box = zeta_enclosure(k, m, table=table)
-
-    def body(sink: RowSink) -> None:
+    with _open_sink(cfg, "zeta") as sink:
         sink.write([k, m, table.nth(m), box.lo, box.hi, box.width])
-
-    rc = _run_with_sink(cfg, "zeta", body)
     _info(f"zeta: k={k} m={m} enclosure=[{fmt_value(box.lo)}, {fmt_value(box.hi)}]")
-    return rc
+    return 0
 
 
 def cmd_gap_series(cfg: RunConfig, limit: int | None, preset: str | None) -> int:
@@ -322,24 +302,16 @@ def cmd_gap_series(cfg: RunConfig, limit: int | None, preset: str | None) -> int
     if limit is None:
         raise ValueError("gap-series needs --limit or --preset")
     every = cfg.checkpoint_every or DEFAULT_CHECKPOINT_EVERY
-    holder: dict[str, object] = {}
-
-    def body(sink: RowSink) -> None:
-        def on_cp(cp) -> None:
-            sink.write([cp.n, cp.p_n, cp.gap, cp.term, cp.partial_sum, cp.running_sup])
-
-        holder["state"] = series_scan(limit, checkpoint_every=every, on_checkpoint=on_cp,
-                                      segment_size=cfg.segment_size)
-
-    rc = _run_with_sink(cfg, "gap-series", body)
-    state = holder["state"]
+    with _open_sink(cfg, "gap-series") as sink:
+        state = series_scan(limit, checkpoint_every=every, on_rows=sink.write_columns,
+                            segment_size=cfg.segment_size)
     _info(f"gap-series: limit={limit} n={state.n} partial_sum={fmt_value(state.partial_sum)} "
           f"running_sup={fmt_value(state.running_sup)} sup_at={state.sup_at}")
     if preset == "paper45":
         diff = state.partial_sum - PAPER45_REFERENCE
         _info(f"gap-series: preset=paper45 reference={PAPER45_REFERENCE} "
               f"value={fmt_value(state.partial_sum)} difference={fmt_value(diff)}")
-    return rc
+    return 0
 
 
 def cmd_theta_check(cfg: RunConfig, limit: int, c0_source: str | None, c0: float | None) -> int:
@@ -357,19 +329,15 @@ def cmd_theta_check(cfg: RunConfig, limit: int, c0_source: str | None, c0: float
             raise ValueError("theta-check with --c0-source explicit needs --c0")
         _info(f"theta-check: c0={fmt_value(c0)} explicit")
     every = cfg.checkpoint_every or DEFAULT_CHECKPOINT_EVERY
-    result = theta_inequality_check(limit, c0, checkpoint_every=every, segment_size=cfg.segment_size)
-
-    def body(sink: RowSink) -> None:
-        for rec in result.records:
-            sink.write([rec.p_n, rec.theta, rec.c_needed, rec.satisfied])
-
-    rc = _run_with_sink(cfg, "theta-check", body)
+    with _open_sink(cfg, "theta-check") as sink:
+        result = theta_inequality_check(limit, c0, checkpoint_every=every, on_rows=sink.write_columns,
+                                        segment_size=cfg.segment_size)
     _info(f"theta-check: limit={limit} checked={result.checked} "
           f"all_satisfied={str(result.all_satisfied).lower()} "
           f"max_c_needed={fmt_value(result.max_c_needed)} at p={result.max_c_needed_at}")
     if result.first_failure is not None:
         _info(f"theta-check: first failure at p={result.first_failure}")
-    return rc
+    return 0
 
 
 def _add_common(sub: argparse.ArgumentParser) -> None:

@@ -251,21 +251,6 @@ def zeta_enclosure(k: int, m: int, *, table: PrimeTable | None = None) -> Interv
     return Interval(lo=lo, hi=hi)
 
 
-@dataclass(frozen=True)
-class ConditionRow:
-    """One sweep row; carries both forms of the check for cross-validation."""
-
-    m: int
-    p_m: int
-    k: int
-    lhs_log: float
-    rhs_log: float
-    holds: bool
-    deviation: float
-    log_zeta_partial: float
-    deficit_holds: bool
-
-
 @dataclass
 class SweepSummary:
     """What a sweep found for each k, beside the rows.
@@ -316,19 +301,22 @@ def condition_sweep(
     *,
     checkpoint_every: int = 1,
     table: PrimeTable | None = None,
-    on_row: Callable[[ConditionRow], None] | None = None,
+    on_rows: Callable[[list[np.ndarray]], None] | None = None,
     segment_size: int = DEFAULT_SEGMENT_ODDS,
 ) -> SweepSummary:
     """Sweep of the condition over m = 1..m_max for each k.
 
     Every m reads the same prefix sums, term helpers and right-hand side as
     the one-shot functions, so row values are bit-identical to theirs at the
-    same m. Rows are delivered m-major at the checkpoint cadence plus always
-    at m_max. First-hold tracking walks m in ascending order, in chunks that
-    double in size, up to the first m that holds, whatever the cadence; the
-    right-hand side is evaluated only on the chunks walked (shared by all k),
-    at the rows, and on the blocks past the first hold that _failures cannot
-    settle from a bound.
+    same m. Rows go to on_rows m-major, at the checkpoint cadence plus always
+    at m_max, one call per segment that holds any, as the columns m, p_m, k,
+    lhs_log, rhs_log, holds (product_condition's form), deviation,
+    log_zeta_partial and deficit_holds (deficit_condition's). First-hold
+    tracking walks m in ascending order, in chunks that double in size, up
+    to the first m that holds, whatever the cadence; the right-hand side is
+    evaluated only on the chunks walked (shared by all k), at the rows, and
+    on the blocks past the first hold that _failures cannot settle from a
+    bound.
 
     Without a table that holds m_max primes, they are sieved one segment at
     a time, and only running state outlives a segment: the prefix carries
@@ -344,6 +332,7 @@ def condition_sweep(
     for k in ks:
         _check_k(k)
     uniq = list(dict.fromkeys(ks))  # a repeated k is the same condition, not a second product
+    want_rows = on_rows is not None
     mert_carry, prod_carries = PrefixCarry(), [PrefixCarry() for _ in uniq]
     first_hold: dict[int, int | None] = dict.fromkeys(uniq)
     last_fail: dict[int, int | None] = dict.fromkeys(uniq)
@@ -353,8 +342,9 @@ def condition_sweep(
                                bytes_per_prime=SWEEP_BYTES_PER_PRIME):
         size = primes.size
         mert = prefix_sums(_mertens_terms(primes), mert_carry)
-        at = np.arange(checkpoint_every - 1 - done % checkpoint_every, size if on_row else 0, checkpoint_every)
-        if on_row and done + size == m_max and (at.size == 0 or at[-1] != size - 1):
+        at = np.arange(checkpoint_every - 1 - done % checkpoint_every, size if want_rows else 0,
+                       checkpoint_every)
+        if want_rows and done + size == m_max and (at.size == 0 or at[-1] != size - 1):
             at = np.append(at, size - 1)
         rhs_chunks: dict[int, np.ndarray] = {}  # _rhs_log of each chunk's part in this segment, by its lo
         prods = np.empty((len(uniq), at.size))  # prefix of log1p(-p**-(k+1)) at each row
@@ -386,16 +376,16 @@ def condition_sweep(
                     fails_after[k] += fails.size
                     last_fail[k] = done + int(fails[-1]) + 1
             del lhs
-        row_prods = prods[[uniq.index(k) for k in ks]].T.tolist()
-        for i, p, lm, rhs_m, prods_m in zip(at.tolist(), primes[at].tolist(), mert[at].tolist(),
-                                            _rhs_log(primes[at]).tolist(), row_prods):
-            dev = lm - rhs_m
-            for k, prod_m in zip(ks, prods_m):
-                lhs_m = lm + prod_m
-                on_row(ConditionRow(
-                    m=done + i + 1, p_m=p, k=k, lhs_log=lhs_m, rhs_log=rhs_m, holds=lhs_m <= rhs_m,
-                    deviation=dev, log_zeta_partial=-prod_m, deficit_holds=dev <= -prod_m,
-                ))
+        if at.size:
+            width = len(ks)
+            zeta_m = prods[[uniq.index(k) for k in ks]].T.ravel()  # m-major, k within m
+            np.negative(zeta_m, out=zeta_m)  # log_zeta_partial; mert - zeta is mert + prod exactly
+            mert_m, rhs_m = np.repeat(mert[at], width), np.repeat(_rhs_log(primes[at]), width)
+            lhs_m, dev = mert_m - zeta_m, mert_m - rhs_m
+            del mert_m
+            on_rows([np.repeat(done + at + 1, width), np.repeat(primes[at], width), np.tile(ks, at.size),
+                     lhs_m, rhs_m, lhs_m <= rhs_m, dev, zeta_m, dev <= zeta_m])
+            del zeta_m, rhs_m, lhs_m, dev
         done += size
         p_max, mert_last = int(primes[-1]), float(mert[-1])
         del mert

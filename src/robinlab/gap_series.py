@@ -51,21 +51,11 @@ class GapSeriesState:
     sup_at: int
 
 
-@dataclass(frozen=True)
-class GapCheckpoint:
-    n: int
-    p_n: int
-    gap: int
-    term: float
-    partial_sum: float
-    running_sup: float
-
-
 def series_scan(
     limit: int,
     *,
     checkpoint_every: int | None = None,
-    on_checkpoint: Callable[[GapCheckpoint], None] | None = None,
+    on_rows: Callable[[list[np.ndarray]], None] | None = None,
     table: PrimeTable | None = None,
     segment_size: int = DEFAULT_SEGMENT_ODDS,
 ) -> GapSeriesState:
@@ -73,10 +63,12 @@ def series_scan(
 
     Term n uses the pair (p_n, p_{n+1}), so the last term is the one whose
     upper prime still fits under the limit. Accumulation is ascending with
-    compensation; reruns are bit-identical. When a checkpoint callback is
-    given it fires every `checkpoint_every` terms and always on the final
-    term. Running_sup is the largest partial sum seen so far and sup_at the
-    first index achieving it.
+    compensation; reruns are bit-identical. Running_sup is the largest
+    partial sum seen so far and sup_at the first index achieving it. Given
+    on_rows, every `checkpoint_every`-th term and always the final one go to
+    it as the columns n, p_n, gap, term, partial_sum and running_sup, one
+    call per segment that holds any and one for a final term off the
+    cadence.
 
     Without a table the primes are sieved one segment at a time, and only
     running state outlives a segment: the prefix carry, the sup and one
@@ -99,26 +91,26 @@ def series_scan(
             continue
         terms = gap_terms(pairs)
         sums = prefix_sums(terms, carry)
-        if on_checkpoint is not None:
-            sups = np.maximum(np.maximum.accumulate(sums), sup)
-            for i in range(every - 1 - n % every, terms.size, every):
-                on_checkpoint(GapCheckpoint(n=n + i + 1, p_n=int(pairs[i]), gap=int(pairs[i + 1] - pairs[i]),
-                                            term=float(terms[i]), partial_sum=float(sums[i]),
-                                            running_sup=float(sups[i])))
+        lo = every - 1 - n % every
+        if on_rows is not None and lo < terms.size:
+            at, after = slice(lo, terms.size, every), slice(lo + 1, terms.size + 1, every)  # views, not copies
+            sups = np.maximum.accumulate(sums)
+            np.maximum(sups, sup, out=sups)
+            on_rows([np.arange(n + lo + 1, n + terms.size + 1, every), pairs[at], pairs[after] - pairs[at],
+                     terms[at], sums[at], sups[at]])
             del sups
         top = int(np.argmax(sums))
         if sums[top] > sup:
             sup, sup_at = float(sums[top]), n + top + 1
         n += terms.size
-        last = GapCheckpoint(n=n, p_n=int(pairs[-2]), gap=int(pairs[-1] - pairs[-2]), term=float(terms[-1]),
-                             partial_sum=float(sums[-1]), running_sup=sup)
+        last = (n, int(pairs[-2]), int(pairs[-1] - pairs[-2]), float(terms[-1]), float(sums[-1]), sup)
         del terms, sums
     if last is None:
         raise ValueError(f"no prime pair below {limit}")
-    if on_checkpoint is not None and n % every:
-        on_checkpoint(last)
-    return GapSeriesState(n=n, p_n=last.p_n, partial_sum=last.partial_sum,
-                          compensation=last.partial_sum - carry.plain,
+    if on_rows is not None and n % every:
+        on_rows([np.array([v]) for v in last])
+    _, p_n, _, _, partial_sum, _ = last
+    return GapSeriesState(n=n, p_n=p_n, partial_sum=partial_sum, compensation=partial_sum - carry.plain,
                           running_sup=sup, sup_at=sup_at)
 
 
@@ -186,18 +178,9 @@ def theta_bound_constants(limit: int, *, table: PrimeTable | None = None) -> lis
 
 
 @dataclass(frozen=True)
-class ThetaCheckRecord:
-    p_n: int
-    theta: float
-    c_needed: float
-    satisfied: bool
-
-
-@dataclass(frozen=True)
 class ThetaCheckResult:
     limit: int
     c0: float
-    records: list[ThetaCheckRecord]
     all_satisfied: bool
     max_c_needed: float
     max_c_needed_at: int
@@ -210,27 +193,30 @@ def theta_inequality_check(
     c0: float,
     *,
     checkpoint_every: int | None = None,
+    on_rows: Callable[[list[np.ndarray]], None] | None = None,
     table: PrimeTable | None = None,
     segment_size: int = DEFAULT_SEGMENT_ODDS,
 ) -> ThetaCheckResult:
     """Check theta(p) <= p + c0 * sqrt(p) * log(p)**2 at every prime p <= limit.
 
     c_needed is the smallest constant that would make the bound tight at p;
-    a prime satisfies the bound exactly when c_needed <= c0. Records are
-    kept at the checkpoint cadence, always for the last prime, and always
-    for the first failure if one occurs. Without a table the primes are
-    sieved one segment at a time, and besides the records only running
-    state outlives a segment: the theta carry, the largest c_needed and the
-    first failure.
+    a prime satisfies the bound exactly when c_needed <= c0. Given on_rows,
+    the primes at the checkpoint cadence, the first failure if one occurs
+    and always the last prime go to it, ascending, as the columns p_n,
+    theta, c_needed and satisfied: one call per segment that holds any, and
+    one for a last prime off the cadence. Without a table the primes are
+    sieved one segment at a time, and only running state outlives a
+    segment: the theta carry, the largest c_needed, the first failure and
+    the last prime's row.
     """
     if limit < 2:
         raise ValueError(f"limit must be >= 2 so there is a prime to check, got {limit}")
     if checkpoint_every is not None and checkpoint_every < 1:
         raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
     every = checkpoint_every or DEFAULT_CHECKPOINT_EVERY
+    want_rows = on_rows is not None
     carry = PrefixCarry()
-    checked, top_c, top_at, first_failure = 0, -math.inf, 0, None
-    records: list[ThetaCheckRecord] = []
+    checked, top_c, top_at, first_failure, last = 0, -math.inf, 0, None, None
     for primes in primes_through(limit, table=table, segment_size=segment_size,
                                  bytes_per_prime=SEGMENT_BYTES_PER_PRIME):
         lp = np.log(primes)
@@ -244,29 +230,27 @@ def theta_inequality_check(
         c_needed /= scale
         del scale
         satisfied = c_needed <= c0
-        keep = set(range(every - 1 - checked % every, primes.size, every))
+        at = np.arange(every - 1 - checked % every, primes.size if want_rows else 0, every)
         if first_failure is None and not satisfied.all():
             i = int(np.argmin(satisfied))
             first_failure = int(primes[i])
-            keep.add(i)
-
-        def record(i: int) -> ThetaCheckRecord:
-            return ThetaCheckRecord(p_n=int(primes[i]), theta=float(theta[i]),
-                                    c_needed=float(c_needed[i]), satisfied=bool(satisfied[i]))
-
-        records += map(record, sorted(keep))
-        last = record(primes.size - 1)
+            if want_rows:
+                at = np.union1d(at, [i])
+        if at.size:
+            on_rows([primes[at], theta[at], c_needed[at], satisfied[at]])
+        # the last prime's row, until one is written
+        last = None if at.size and at[-1] == primes.size - 1 else (
+            int(primes[-1]), float(theta[-1]), float(c_needed[-1]), bool(satisfied[-1]))
         top = int(np.argmax(c_needed))
         if c_needed[top] > top_c:
             top_c, top_at = float(c_needed[top]), int(primes[top])
         checked += primes.size
         del theta, c_needed, satisfied
-    if not records or records[-1].p_n != last.p_n:
-        records.append(last)
+    if want_rows and last is not None:
+        on_rows([np.array([v]) for v in last])
     return ThetaCheckResult(
         limit=limit,
         c0=c0,
-        records=records,
         all_satisfied=first_failure is None,
         max_c_needed=top_c,
         max_c_needed_at=top_at,

@@ -7,13 +7,42 @@ pytest output without -s.
 import os
 import subprocess
 import sys
+from collections import namedtuple
 
 import pytest
 
 from robinlab.arithmetic import sigma_sieve
+from robinlab.cli import CSV_HEADERS
 from robinlab.primes import primes_up_to
 
 _CRITERION_LINES: dict[str, tuple[str, str]] = {}
+
+
+# the columns each library function hands to on_rows: its command's CSV
+# header, and for the sweep the three columns of its cross-check
+ROW_FIELDS = {
+    "condition7": [*CSV_HEADERS["condition7"], "deviation", "log_zeta_partial", "deficit_holds"],
+    "gap-series": CSV_HEADERS["gap-series"],
+    "theta-check": CSV_HEADERS["theta-check"],
+}
+
+
+class RowLog(list):
+    """An on_rows target that keeps every row, as a named tuple of Python values."""
+
+    def __init__(self, command: str) -> None:
+        super().__init__()
+        self._row = namedtuple("Row", ROW_FIELDS[command])
+
+    def __call__(self, columns) -> None:
+        assert len(columns) == len(self._row._fields)
+        assert len({c.size for c in columns}) == 1 and columns[0].size > 0  # no empty call
+        self.extend(map(self._row._make, zip(*[c.tolist() for c in columns])))
+
+
+@pytest.fixture
+def row_log():
+    return RowLog
 
 
 def record_criterion(key: str, status: str, detail: str) -> None:

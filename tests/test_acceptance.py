@@ -97,10 +97,10 @@ def test_criterion_04_odd_values_satisfy_bound(criterion_log, sigma1e6):
     criterion_log("04", "PASS", "no odd violator in [17, 1e6]; scan returned zero rows")
 
 
-def test_criterion_05_product_condition_sweep(criterion_log, table7):
-    rows = []
+def test_criterion_05_product_condition_sweep(criterion_log, table7, row_log):
+    rows = row_log("condition7")
     summary = condition_sweep(1000, [1, 2, 3, 4, 5], checkpoint_every=1,
-                              table=table7, on_row=rows.append)
+                              table=table7, on_rows=rows)
     assert len(rows) == 5000
     assert all(r.holds == r.deficit_holds for r in rows)
     assert summary.first_hold == {1: 3, 2: 5, 3: 10, 4: 17, 5: 35}
@@ -161,11 +161,11 @@ def test_criterion_08_tail_bounds_dominate(criterion_log, table7):
                   f"and the exact-value gap; smallest margin {min(margins):.3g}")
 
 
-def test_criterion_09_recursion_matches_closed_form(criterion_log, table7):
+def test_criterion_09_recursion_matches_closed_form(criterion_log, table7, row_log):
     constants = theta_bound_constants(100_000, table=table7)
-    partials = []
-    series_scan(100_000, checkpoint_every=1, table=table7,
-                on_checkpoint=lambda cp: partials.append(cp.partial_sum))
+    checkpoints = row_log("gap-series")
+    series_scan(100_000, checkpoint_every=1, table=table7, on_rows=checkpoints)
+    partials = [cp.partial_sum for cp in checkpoints]
     assert len(constants) == len(partials) == 9591
     worst = max(abs(c - p) for (_, c), p in zip(constants, partials))
     assert worst <= 1e-10
@@ -174,16 +174,17 @@ def test_criterion_09_recursion_matches_closed_form(criterion_log, table7):
                   f"max gap {worst:.3g} <= 1e-10 (internal drift guard also active)")
 
 
-def test_criterion_10_theta_constant_sign(criterion_log, table7, series_1e7):
+def test_criterion_10_theta_constant_sign(criterion_log, table7, series_1e7, row_log):
     c0 = series_1e7.running_sup
     assert c0 == -0.45161067402361027  # supremum is the first partial sum
-    result = theta_inequality_check(1_000_000, c0, table=table7)
+    records = row_log("theta-check")
+    result = theta_inequality_check(1_000_000, c0, table=table7, on_rows=records)
     assert result.checked == 78498
     assert result.max_c_needed < 0
     assert math.isclose(result.max_c_needed, -0.002631466921038619, rel_tol=1e-10)
     assert result.max_c_needed_at == 355111
     assert result.first_failure == 5
-    rec = next(r for r in result.records if not r.satisfied)
+    rec = next(r for r in records if not r.satisfied)
     criterion_log("10", "PASS",
                   f"max c needed over p <= 1e6 is {result.max_c_needed:.6g} < 0 at "
                   f"p={result.max_c_needed_at}; first prime needing more than the series "

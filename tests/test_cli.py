@@ -12,11 +12,14 @@ import numpy as np
 import pytest
 
 import robinlab.cli
+import robinlab.primes
 import robinlab.robin
 from robinlab.arithmetic import factorize, is_prime, sigma_of
 from robinlab.cli import RowSink, main
-from robinlab.gap_series import series_scan
-from robinlab.summation import PREFIX_BYTES_PER_TERM
+from robinlab.euler_products import product_condition
+from robinlab.gap_series import gap_terms, series_scan
+from robinlab.primes import primes_up_to
+from robinlab.summation import PREFIX_BYTES_PER_TERM, prefix_sums
 
 PRIMES_30 = [
     "n,p_n", "1,2", "2,3", "3,5", "4,7", "5,11",
@@ -109,10 +112,89 @@ def test_write_columns_equals_row_writes(fmt):
         RowSink(io.StringIO(), fmt, ["a", "b"]).write_columns([[1, 2]])
 
 
+def _array_columns(rows, text):
+    rng = np.random.default_rng(rows)
+    floats = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, rows)
+    floats[: min(rows, 4)] = [-0.0, math.inf, math.nan, 5e-324][: min(rows, 4)]
+    columns = [rng.integers(-2**62, 2**62, rows), floats, rng.random(rows) < 0.5]
+    if text:  # the csv module quotes a chunk with a comma or a quote in it
+        columns.append(np.array([["plain", "a,b", 'say "hi"', ""][i % 4] for i in range(rows)]))
+    return columns
+
+
+@pytest.mark.parametrize("fmt, text", [("csv", False), ("csv", True), ("json", True)])
+def test_write_columns_of_arrays_equals_row_writes(fmt, text):
+    chunk = robinlab.cli.WRITE_CHUNK
+    for rows in (0, 1, chunk, chunk + 1):
+        columns = _array_columns(rows, text)
+        names = [f"c{i}" for i in range(len(columns))]
+        by_row, by_column = io.StringIO(), io.StringIO()
+        sink = RowSink(by_row, fmt, names)
+        for row in zip(*[c.tolist() for c in columns]):
+            sink.write(list(row))
+        sink.finish()
+        sink = RowSink(by_column, fmt, names)
+        sink.write_columns(columns)
+        sink.finish()
+        assert by_column.getvalue() == by_row.getvalue(), (fmt, text, rows)
+
+
+def _written(command, rows):
+    out = io.StringIO()
+    sink = RowSink(out, "csv", robinlab.cli.CSV_HEADERS[command])
+    for row in rows:
+        sink.write(row)
+    sink.finish()
+    return out.getvalue()
+
+
+def test_dense_runs_equal_one_shot_rows(capsys, monkeypatch):
+    table = primes_up_to(20_000)
+    primes = table.primes
+    segments = robinlab.primes.prime_segments
+    monkeypatch.setattr(robinlab.primes, "prime_segments",
+                        lambda lo, hi, **kw: segments(lo, hi, **{**kw, "segment_size": 100}))
+    monkeypatch.setattr(robinlab.cli, "WRITE_CHUNK", 97)
+
+    want = []
+    for m in range(1, 301):
+        for k in (1, 3):
+            v = product_condition(m, k, table=table)
+            want.append([m, table.nth(m), k, v.lhs_log, v.rhs_log, v.holds])
+    assert main(["condition7", "--m-max", "300", "--k", "1,3", "--checkpoint-every", "1"]) == 0
+    assert capsys.readouterr().out == _written("condition7", want)
+
+    terms = gap_terms(primes)
+    sums = prefix_sums(terms)
+    columns = [primes[:-1], np.diff(primes), terms, sums, np.maximum.accumulate(sums)]
+    want = [[n, *row] for n, row in enumerate(zip(*[c.tolist() for c in columns]), start=1)]
+    assert main(["gap-series", "--limit", "20000", "--checkpoint-every", "1"]) == 0
+    assert capsys.readouterr().out == _written("gap-series", want)
+
+    lp = np.log(primes)
+    theta = prefix_sums(lp)
+    c_needed = (theta - primes) / (np.sqrt(primes) * lp * lp)
+    for c0 in (0.0, -0.4):  # never fails, and fails first past p = 2
+        at = set(range(6, primes.size, 7)) | {primes.size - 1}
+        if (c_needed > c0).any():
+            at.add(int(np.argmax(c_needed > c0)))
+        want = [[int(primes[i]), float(theta[i]), float(c_needed[i]), bool(c_needed[i] <= c0)] for i in sorted(at)]
+        assert main(["theta-check", "--limit", "20000", "--c0", str(c0), "--checkpoint-every", "7"]) == 0
+        assert capsys.readouterr().out == _written("theta-check", want), c0
+
+
 def test_robin_eval_rejects_unit(run_cli):
     cp = run_cli(["robin-eval", "1"])
     assert cp.returncode == 2
     assert cp.stderr.startswith("error:")
+
+
+def test_robin_eval_rejects_sigma_past_64_bits(capsys):
+    # 2**64 - 2 is even, so sigma(n) >= 1.5 n passes 2**64 while n does not
+    assert main(["robin-eval", "5040", str(2**64 - 2)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == "error: sigma(n) leaves 64 bits\n"
 
 
 def _semiprimes(seed, count):
@@ -344,7 +426,7 @@ def test_memory_budget_env(run_cli):
     assert cp.stdout == ""
 
 
-def test_gap_series_fits_a_budget_of_one_segment(run_cli, table7):
+def test_gap_series_fits_a_budget_of_one_segment(run_cli, table7, row_log):
     # the prefix sums over the whole table below 1e7 alone need 15.9 MB
     assert PREFIX_BYTES_PER_TERM * 664_578 > 8 << 20
     cp = run_cli(["gap-series", "--preset", "paper45"], env_extra={"ROBINLAB_MEM_BUDGET_MB": "8"})
@@ -352,8 +434,10 @@ def test_gap_series_fits_a_budget_of_one_segment(run_cli, table7):
     # the default run's rows, from the table path of the same scan
     out = io.StringIO()
     sink = RowSink(out, "csv", robinlab.cli.CSV_HEADERS["gap-series"])
-    series_scan(10_000_000, checkpoint_every=100_000, table=table7,
-                on_checkpoint=lambda c: sink.write([c.n, c.p_n, c.gap, c.term, c.partial_sum, c.running_sup]))
+    checkpoints = row_log("gap-series")
+    series_scan(10_000_000, checkpoint_every=100_000, table=table7, on_rows=checkpoints)
+    for row in checkpoints:
+        sink.write(list(row))
     assert cp.stdout == out.getvalue()
 
 

@@ -25,6 +25,8 @@ from robinlab.euler_products import (
 from robinlab.robin import EULER_GAMMA, EXP_GAMMA
 from robinlab.summation import prefix_sums
 
+from conftest import ROW_FIELDS
+
 ZETA2 = math.pi**2 / 6
 ZETA4 = math.pi**4 / 90
 
@@ -205,12 +207,12 @@ def test_sweep_summary(table7):
     assert math.isclose(summary.final_deviation, 0.0012397105445680623, rel_tol=1e-10)
 
 
-def test_sweep_rows_match_one_shot(table7):
-    rows = []
-    condition_sweep(200, [2], checkpoint_every=50, table=table7, on_row=rows.append)
+def test_sweep_rows_match_one_shot(table7, row_log):
+    rows = row_log("condition7")
+    condition_sweep(200, [2], checkpoint_every=50, table=table7, on_rows=rows)
     assert [(r.m, r.k) for r in rows] == [(50, 2), (100, 2), (150, 2), (200, 2)]
-    every_m = []
-    condition_sweep(2000, [1, 2, 3, 4, 5], table=table7, on_row=every_m.append)
+    every_m = row_log("condition7")
+    condition_sweep(2000, [1, 2, 3, 4, 5], table=table7, on_rows=every_m)
     assert [(r.m, r.k) for r in every_m] == [(m, k) for m in range(1, 2001) for k in range(1, 6)]
     for r in rows + every_m:
         a = product_condition(r.m, r.k, table=table7)
@@ -222,9 +224,9 @@ def test_sweep_rows_match_one_shot(table7):
         assert r.holds == a.holds and r.deficit_holds == b.holds
 
 
-def test_sweep_stabilizes_for_k1(table7):
-    rows = []
-    condition_sweep(300, [1], checkpoint_every=1, table=table7, on_row=rows.append)
+def test_sweep_stabilizes_for_k1(table7, row_log):
+    rows = row_log("condition7")
+    condition_sweep(300, [1], checkpoint_every=1, table=table7, on_rows=rows)
     held = [r.m for r in rows if r.holds]
     assert min(held) == 3
     assert all(r.holds for r in rows if r.m >= 3)
@@ -262,7 +264,7 @@ def test_sweep_takes_no_pow_from_libm(table7, monkeypatch):
         return _libm(fn, values, *args)
 
     monkeypatch.setattr(euler_products, "_libm", spy)
-    condition_sweep(20000, [1, 2, 3, 4, 5], checkpoint_every=1000, table=table7, on_row=lambda row: None)
+    condition_sweep(20000, [1, 2, 3, 4, 5], checkpoint_every=1000, table=table7, on_rows=lambda columns: None)
     assert seen == {math.log1p, math.log}
 
 
@@ -313,14 +315,15 @@ def _reference_sweep(table, m_max, ks):
 
 def test_sweep_equals_full_vector_reference(table7):
     ks, m_max = [1, 2, 3, 4, 5], 100_000
-    rows = []
-    summary = condition_sweep(m_max, ks, checkpoint_every=1, table=table7, on_row=rows.append)
+    chunks = []
+    summary = condition_sweep(m_max, ks, checkpoint_every=1, table=table7, on_rows=chunks.append)
     mert, rhs, prod, first_hold = _reference_sweep(table7, m_max, ks)
     assert summary.first_hold == first_hold == {1: 3, 2: 5, 3: 10, 4: 17, 5: 35}
     assert summary.final_deviation == mert[-1] - rhs[-1]
 
     def column(name):
-        return np.array([getattr(r, name) for r in rows]).reshape(m_max, len(ks))
+        at = ROW_FIELDS["condition7"].index(name)
+        return np.concatenate([c[at] for c in chunks]).reshape(m_max, len(ks))
 
     m = np.arange(1, m_max + 1)[:, None]
     assert np.array_equal(column("m"), np.broadcast_to(m, prod.shape))
@@ -347,7 +350,7 @@ def test_first_hold_across_chunk_edges(table7, monkeypatch, width):
     assert condition_sweep(1, [1], table=table7).first_hold == {1: None}
 
 
-def test_sweep_reads_rhs_only_where_needed(table7, monkeypatch):
+def test_sweep_reads_rhs_only_where_needed(table7, monkeypatch, row_log):
     evaluated = []
 
     def spy(primes):
@@ -355,9 +358,9 @@ def test_sweep_reads_rhs_only_where_needed(table7, monkeypatch):
         return _rhs_log(primes)
 
     monkeypatch.setattr(euler_products, "_rhs_log", spy)
-    rows = []
+    rows = row_log("condition7")
     summary = condition_sweep(664579, [1, 2, 3, 4, 5], checkpoint_every=100_000, table=table7,
-                              on_row=rows.append)
+                              on_rows=rows)
     assert summary.first_hold == {1: 3, 2: 5, 3: 10, 4: 17, 5: 35}
     assert len(rows) == 35
     # one first chunk for every k, seven row values and the final deviation
@@ -369,12 +372,12 @@ SWEEP_STREAM_CASES = [(3, 300), (7, 800), (1000, 20_000)]
 
 
 @pytest.mark.parametrize("segment_size, top", SWEEP_STREAM_CASES)
-def test_streamed_sweep_equals_table_path(table7, segment_size, top):
+def test_streamed_sweep_equals_table_path(table7, row_log, segment_size, top):
     ks = [1, 2, 3, 4, 5, 10, 2]
     for m_max, every in ((1, 1), (2, 1), (50, 1), (top, 1 if top < 2000 else 97)):
-        a, b = [], []
-        want = condition_sweep(m_max, ks, checkpoint_every=every, table=table7, on_row=a.append)
-        got = condition_sweep(m_max, ks, checkpoint_every=every, segment_size=segment_size, on_row=b.append)
+        a, b = row_log("condition7"), row_log("condition7")
+        want = condition_sweep(m_max, ks, checkpoint_every=every, table=table7, on_rows=a)
+        got = condition_sweep(m_max, ks, checkpoint_every=every, segment_size=segment_size, on_rows=b)
         assert got == want and b == a, (m_max, every)
 
 

@@ -78,9 +78,9 @@ def test_scan_bit_identical_reruns(table7):
         b.partial_sum, b.compensation, b.running_sup)
 
 
-def test_checkpoint_cadence(table7):
-    cps = []
-    st = series_scan(100, checkpoint_every=5, table=table7, on_checkpoint=cps.append)
+def test_checkpoint_cadence(table7, row_log):
+    cps = row_log("gap-series")
+    st = series_scan(100, checkpoint_every=5, table=table7, on_rows=cps)
     assert [c.n for c in cps] == [5, 10, 15, 20, 24]
     assert cps[0].p_n == 11 and cps[0].gap == 2
     assert cps[0].term == gap_term(11, 13)
@@ -121,29 +121,32 @@ def test_theta_check_single_prime():
         theta_inequality_check(1, 0.0)
 
 
-def test_theta_check_small_range(table7):
-    res = theta_inequality_check(100, 1.0, table=table7)
+def test_theta_check_small_range(table7, row_log):
+    records = row_log("theta-check")
+    res = theta_inequality_check(100, 1.0, table=table7, on_rows=records)
     assert res.all_satisfied and res.checked == 25
     assert math.isclose(res.max_c_needed, -0.045290683533358335, rel_tol=1e-13)
     assert res.max_c_needed_at == 73
     # default cadence keeps only the final prime
-    assert [r.p_n for r in res.records] == [97]
+    assert [r.p_n for r in records] == [97]
 
 
-def test_theta_check_failure_is_recorded(table7):
-    res = theta_inequality_check(100, -3.0, checkpoint_every=100, table=table7)
+def test_theta_check_failure_is_recorded(table7, row_log):
+    records = row_log("theta-check")
+    res = theta_inequality_check(100, -3.0, checkpoint_every=100, table=table7, on_rows=records)
     assert not res.all_satisfied
     assert res.first_failure == 2
-    assert [r.p_n for r in res.records] == [2, 97]
-    assert not res.records[0].satisfied
+    assert [r.p_n for r in records] == [2, 97]
+    assert not records[0].satisfied
 
 
-def test_theta_check_flag_matches_threshold(table7):
-    res = theta_inequality_check(200, -0.5, checkpoint_every=1, table=table7)
-    assert res.checked == len(res.records)
-    for r in res.records:
+def test_theta_check_flag_matches_threshold(table7, row_log):
+    records = row_log("theta-check")
+    res = theta_inequality_check(200, -0.5, checkpoint_every=1, table=table7, on_rows=records)
+    assert res.checked == len(records)
+    for r in records:
         assert r.satisfied == (r.c_needed <= res.c0)
-    assert res.max_c_needed == max(r.c_needed for r in res.records)
+    assert res.max_c_needed == max(r.c_needed for r in records)
 
 
 # (odds per segment, largest limit): the tiniest segments sieve a shorter range
@@ -151,19 +154,20 @@ STREAM_CASES = [(3, 1_000), (7, 3_000), (1000, 50_000)]
 
 
 @pytest.mark.parametrize("segment_size, top", STREAM_CASES)
-def test_streamed_scans_equal_table_path(table7, segment_size, top):
+def test_streamed_scans_equal_table_path(table7, row_log, segment_size, top):
     # c0 = -3 fails at p = 2, -0.5 first fails later, 1 never fails
     c0s = itertools.cycle([-3.0, -0.5, 1.0, -0.5])
     for limit in (3, 5, 6, 100, top - 7, top):
         for every in (1, 7, None):
-            a, b = [], []
-            want = series_scan(limit, checkpoint_every=every, on_checkpoint=a.append, table=table7)
-            got = series_scan(limit, checkpoint_every=every, on_checkpoint=b.append, segment_size=segment_size)
+            a, b = row_log("gap-series"), row_log("gap-series")
+            want = series_scan(limit, checkpoint_every=every, on_rows=a, table=table7)
+            got = series_scan(limit, checkpoint_every=every, on_rows=b, segment_size=segment_size)
             assert got == want and b == a, (limit, every)
             c0 = next(c0s)
-            want = theta_inequality_check(limit, c0, checkpoint_every=every, table=table7)
-            got = theta_inequality_check(limit, c0, checkpoint_every=every, segment_size=segment_size)
-            assert got == want, (limit, every, c0)
+            a, b = row_log("theta-check"), row_log("theta-check")
+            want = theta_inequality_check(limit, c0, checkpoint_every=every, on_rows=a, table=table7)
+            got = theta_inequality_check(limit, c0, checkpoint_every=every, on_rows=b, segment_size=segment_size)
+            assert got == want and b == a, (limit, every, c0)
 
 
 def test_streamed_scan_memory_is_one_segment():
