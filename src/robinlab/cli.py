@@ -32,7 +32,7 @@ from .gap_series import (
     series_scan,
     theta_inequality_check,
 )
-from .primes import DEFAULT_SEGMENT_ODDS, chebyshev_theta, primes_up_to, table_for_count
+from .primes import DEFAULT_SEGMENT_ODDS, _segments, chebyshev_theta, primes_up_to, table_for_count
 from .robin import extremal_candidates, robin_check, robin_columns, scan_range  # noqa: F401
 
 PAPER45_LIMIT = 10_000_000
@@ -210,14 +210,13 @@ def _open_sink(cfg: RunConfig, command: str) -> Iterator[RowSink]:
 def cmd_primes(cfg: RunConfig) -> int:
     if cfg.limit is None:
         raise ValueError("primes needs --limit")
-    table = primes_up_to(cfg.limit, segment_size=cfg.segment_size)
-    every = cfg.checkpoint_every or 1
-    n = np.arange(every, table.count + 1, every)
-    if table.count % every:
-        n = np.append(n, table.count)
+    count = 0
     with _open_sink(cfg, "primes") as sink:
-        sink.write_columns([n, table.primes[n - 1]])
-    _info(f"primes: limit={cfg.limit} count={table.count}")
+        for primes, done, rows in _segments(cfg.checkpoint_every or 1, limit=cfg.limit,
+                                            segment_size=cfg.segment_size):
+            sink.write_columns([done + rows + 1, primes[rows]])
+            count = done + primes.size
+    _info(f"primes: limit={cfg.limit} count={count}")
     return 0
 
 
@@ -298,6 +297,8 @@ def cmd_zeta(cfg: RunConfig, k: int, m: int) -> int:
 
 def cmd_gap_series(cfg: RunConfig, limit: int | None, preset: str | None) -> int:
     if preset == "paper45":
+        if limit is not None:
+            raise ValueError("--preset paper45 conflicts with --limit")
         limit = PAPER45_LIMIT
     if limit is None:
         raise ValueError("gap-series needs --limit or --preset")

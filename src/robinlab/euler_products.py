@@ -14,7 +14,8 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-from .primes import DEFAULT_SEGMENT_ODDS, PrimeTable, first_primes, table_for_count
+from .errors import require_capacity
+from .primes import DEFAULT_SEGMENT_ODDS, ROW_BLOCK, PrimeTable, _segments, table_for_count
 from .robin import EULER_GAMMA
 from .summation import PrefixCarry, prefix_sums
 
@@ -44,7 +45,7 @@ ZETA_LOG_REL_ERR = 2.0**-50
 
 # bytes per prime that one streamed segment holds at its peak, from
 # tracemalloc: the segment, the Mertens prefix, one k's terms and the
-# carried prefix's 24
+# carried prefix's 24; the sweep adds its prefixes at the rows
 SWEEP_BYTES_PER_PRIME = 40
 
 
@@ -300,7 +301,6 @@ def condition_sweep(
     ks: Sequence[int],
     *,
     checkpoint_every: int = 1,
-    table: PrimeTable | None = None,
     on_rows: Callable[[list[np.ndarray]], None] | None = None,
     segment_size: int = DEFAULT_SEGMENT_ODDS,
 ) -> SweepSummary:
@@ -309,43 +309,43 @@ def condition_sweep(
     Every m reads the same prefix sums, term helpers and right-hand side as
     the one-shot functions, so row values are bit-identical to theirs at the
     same m. Rows go to on_rows m-major, at the checkpoint cadence plus always
-    at m_max, one call per segment that holds any, as the columns m, p_m, k,
-    lhs_log, rhs_log, holds (product_condition's form), deviation,
-    log_zeta_partial and deficit_holds (deficit_condition's). First-hold
-    tracking walks m in ascending order, in chunks that double in size, up
-    to the first m that holds, whatever the cadence; the right-hand side is
-    evaluated only on the chunks walked (shared by all k), at the rows, and
-    on the blocks past the first hold that _failures cannot settle from a
-    bound.
+    at m_max, in blocks of at most ROW_BLOCK rows times k, as the columns
+    m, p_m, k, lhs_log, rhs_log, holds (product_condition's form),
+    deviation, log_zeta_partial and deficit_holds (deficit_condition's).
+    First-hold tracking walks m in ascending order, in chunks that double in
+    size, up to the first m that holds, whatever the cadence; the right-hand
+    side is evaluated only on the chunks walked (shared by all k), at the
+    rows, and on the blocks past the first hold that _failures cannot settle
+    from a bound.
 
-    Without a table that holds m_max primes, they are sieved one segment at
-    a time, and only running state outlives a segment: the prefix carries
-    and, for each k, the first hold and the failures after it.
+    The primes are sieved one segment at a time, and only running state
+    outlives a segment: the prefix carries and, for each k, the first hold
+    and the failures after it.
     """
     if m_max < 1:
         raise ValueError(f"m_max must be >= 1, got {m_max}")
-    if checkpoint_every < 1:
-        raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
     ks = list(ks)
     if not ks:
         raise ValueError("need at least one k")
     for k in ks:
         _check_k(k)
     uniq = list(dict.fromkeys(ks))  # a repeated k is the same condition, not a second product
-    want_rows = on_rows is not None
+    order, width = [uniq.index(k) for k in ks], len(ks)
+    block = max(ROW_BLOCK // width, 1)  # rows per on_rows call
+    # nine row columns of at most 8 bytes per cell; tracemalloc measured 58 per cell
+    require_capacity(72 * block * width, f"one block of {block} sweep rows")
     mert_carry, prod_carries = PrefixCarry(), [PrefixCarry() for _ in uniq]
     first_hold: dict[int, int | None] = dict.fromkeys(uniq)
     last_fail: dict[int, int | None] = dict.fromkeys(uniq)
     fails_after = dict.fromkeys(uniq, 0)
-    done = 0  # primes in earlier segments
-    for primes in first_primes(m_max, table=table, segment_size=segment_size,
-                               bytes_per_prime=SWEEP_BYTES_PER_PRIME):
+    # prods holds 8 bytes per k for one prime in checkpoint_every; _segments rejects a cadence below 1
+    prods_per_prime = (8 * len(uniq) + checkpoint_every - 1) // max(checkpoint_every, 1)
+    for primes, done, at in _segments(checkpoint_every, count=m_max, segment_size=segment_size,
+                                      bytes_per_prime=SWEEP_BYTES_PER_PRIME + prods_per_prime):
         size = primes.size
+        if on_rows is None:
+            at = at[:0]
         mert = prefix_sums(_mertens_terms(primes), mert_carry)
-        at = np.arange(checkpoint_every - 1 - done % checkpoint_every, size if want_rows else 0,
-                       checkpoint_every)
-        if want_rows and done + size == m_max and (at.size == 0 or at[-1] != size - 1):
-            at = np.append(at, size - 1)
         rhs_chunks: dict[int, np.ndarray] = {}  # _rhs_log of each chunk's part in this segment, by its lo
         prods = np.empty((len(uniq), at.size))  # prefix of log1p(-p**-(k+1)) at each row
         for j, k in enumerate(uniq):
@@ -376,17 +376,17 @@ def condition_sweep(
                     fails_after[k] += fails.size
                     last_fail[k] = done + int(fails[-1]) + 1
             del lhs
-        if at.size:
-            width = len(ks)
-            zeta_m = prods[[uniq.index(k) for k in ks]].T.ravel()  # m-major, k within m
+        for lo in range(0, at.size, block):
+            rows = at[lo : lo + block]
+            zeta_m = prods[order, lo : lo + block].T.ravel()  # m-major, k within m
             np.negative(zeta_m, out=zeta_m)  # log_zeta_partial; mert - zeta is mert + prod exactly
-            mert_m, rhs_m = np.repeat(mert[at], width), np.repeat(_rhs_log(primes[at]), width)
+            mert_m, rhs_m = np.repeat(mert[rows], width), np.repeat(_rhs_log(primes[rows]), width)
             lhs_m, dev = mert_m - zeta_m, mert_m - rhs_m
             del mert_m
-            on_rows([np.repeat(done + at + 1, width), np.repeat(primes[at], width), np.tile(ks, at.size),
-                     lhs_m, rhs_m, lhs_m <= rhs_m, dev, zeta_m, dev <= zeta_m])
+            on_rows([np.repeat(done + rows + 1, width), np.repeat(primes[rows], width),
+                     np.tile(ks, rows.size), lhs_m, rhs_m, lhs_m <= rhs_m, dev, zeta_m, dev <= zeta_m])
             del zeta_m, rhs_m, lhs_m, dev
-        done += size
+        del prods
         p_max, mert_last = int(primes[-1]), float(mert[-1])
         del mert
     last_failure = {}

@@ -16,7 +16,7 @@ from typing import Callable, Iterable
 
 import numpy as np
 
-from .primes import DEFAULT_SEGMENT_ODDS, PrimeTable, primes_through, primes_up_to, table_for_count
+from .primes import DEFAULT_SEGMENT_ODDS, ROW_BLOCK, PrimeTable, _segments, primes_up_to, table_for_count
 from .summation import PrefixCarry, prefix_sums
 
 DEFAULT_CHECKPOINT_EVERY = 100_000
@@ -56,7 +56,6 @@ def series_scan(
     *,
     checkpoint_every: int | None = None,
     on_rows: Callable[[list[np.ndarray]], None] | None = None,
-    table: PrimeTable | None = None,
     segment_size: int = DEFAULT_SEGMENT_ODDS,
 ) -> GapSeriesState:
     """Sum the series over consecutive prime pairs drawn from primes <= limit.
@@ -66,50 +65,44 @@ def series_scan(
     compensation; reruns are bit-identical. Running_sup is the largest
     partial sum seen so far and sup_at the first index achieving it. Given
     on_rows, every `checkpoint_every`-th term and always the final one go to
-    it as the columns n, p_n, gap, term, partial_sum and running_sup, one
-    call per segment that holds any and one for a final term off the
-    cadence.
+    it as the columns n, p_n, gap, term, partial_sum and running_sup, in
+    calls of at most ROW_BLOCK rows.
 
-    Without a table the primes are sieved one segment at a time, and only
-    running state outlives a segment: the prefix carry, the sup and one
-    look-ahead prime. Memory does not grow with the limit.
+    The primes are sieved one segment at a time, and only running state
+    outlives a segment: the prefix carry, the sup and one look-ahead prime.
+    Memory does not grow with the limit.
     """
     if limit < 3:
         raise ValueError(f"limit must be >= 3 for at least one pair, got {limit}")
-    if checkpoint_every is not None and checkpoint_every < 1:
-        raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
-    every = checkpoint_every or DEFAULT_CHECKPOINT_EVERY
+    every = DEFAULT_CHECKPOINT_EVERY if checkpoint_every is None else checkpoint_every
     carry = PrefixCarry()
-    n, sup, sup_at, last = 0, -math.inf, 0, None
+    sup, sup_at = -math.inf, 0
     pairs = np.empty(0, dtype=np.int64)
-    for seg in primes_through(limit, table=table, segment_size=segment_size,
-                              bytes_per_prime=SEGMENT_BYTES_PER_PRIME):
+    # term n belongs to its upper prime, prime n + 1: skip=1 counts terms
+    for seg, done, rows in _segments(every, limit=limit, skip=1, segment_size=segment_size,
+                                     bytes_per_prime=SEGMENT_BYTES_PER_PRIME):
         # the previous segment's last prime opens this segment's first pair
         pairs = np.concatenate((pairs[-1:], seg))
+        size = seg.size
         del seg
-        if pairs.size < 2:
+        if pairs.size < 2:  # prime 2, alone in the first segment: no term, so no row
             continue
         terms = gap_terms(pairs)
         sums = prefix_sums(terms, carry)
-        lo = every - 1 - n % every
-        if on_rows is not None and lo < terms.size:
-            at, after = slice(lo, terms.size, every), slice(lo + 1, terms.size + 1, every)  # views, not copies
+        first = done + size - terms.size  # the number of terms[0]
+        if on_rows is not None and rows.size:
             sups = np.maximum.accumulate(sums)
             np.maximum(sups, sup, out=sups)
-            on_rows([np.arange(n + lo + 1, n + terms.size + 1, every), pairs[at], pairs[after] - pairs[at],
-                     terms[at], sums[at], sups[at]])
+            for lo in range(0, rows.size, ROW_BLOCK):
+                ns = done + rows[lo : lo + ROW_BLOCK]
+                at = ns - first  # the terms whose upper primes sit at these rows of the segment
+                on_rows([ns, pairs[at], pairs[at + 1] - pairs[at], terms[at], sums[at], sups[at]])
             del sups
         top = int(np.argmax(sums))
         if sums[top] > sup:
-            sup, sup_at = float(sums[top]), n + top + 1
-        n += terms.size
-        last = (n, int(pairs[-2]), int(pairs[-1] - pairs[-2]), float(terms[-1]), float(sums[-1]), sup)
+            sup, sup_at = float(sums[top]), first + top
+        n, p_n, partial_sum = first + terms.size - 1, int(pairs[-2]), float(sums[-1])
         del terms, sums
-    if last is None:
-        raise ValueError(f"no prime pair below {limit}")
-    if on_rows is not None and n % every:
-        on_rows([np.array([v]) for v in last])
-    _, p_n, _, _, partial_sum, _ = last
     return GapSeriesState(n=n, p_n=p_n, partial_sum=partial_sum, compensation=partial_sum - carry.plain,
                           running_sup=sup, sup_at=sup_at)
 
@@ -194,7 +187,6 @@ def theta_inequality_check(
     *,
     checkpoint_every: int | None = None,
     on_rows: Callable[[list[np.ndarray]], None] | None = None,
-    table: PrimeTable | None = None,
     segment_size: int = DEFAULT_SEGMENT_ODDS,
 ) -> ThetaCheckResult:
     """Check theta(p) <= p + c0 * sqrt(p) * log(p)**2 at every prime p <= limit.
@@ -203,22 +195,17 @@ def theta_inequality_check(
     a prime satisfies the bound exactly when c_needed <= c0. Given on_rows,
     the primes at the checkpoint cadence, the first failure if one occurs
     and always the last prime go to it, ascending, as the columns p_n,
-    theta, c_needed and satisfied: one call per segment that holds any, and
-    one for a last prime off the cadence. Without a table the primes are
-    sieved one segment at a time, and only running state outlives a
-    segment: the theta carry, the largest c_needed, the first failure and
-    the last prime's row.
+    theta, c_needed and satisfied, in calls of at most ROW_BLOCK rows. The
+    primes are sieved one segment at a time, and only running state outlives
+    a segment: the theta carry, the largest c_needed and the first failure.
     """
     if limit < 2:
         raise ValueError(f"limit must be >= 2 so there is a prime to check, got {limit}")
-    if checkpoint_every is not None and checkpoint_every < 1:
-        raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
-    every = checkpoint_every or DEFAULT_CHECKPOINT_EVERY
-    want_rows = on_rows is not None
+    every = DEFAULT_CHECKPOINT_EVERY if checkpoint_every is None else checkpoint_every
     carry = PrefixCarry()
-    checked, top_c, top_at, first_failure, last = 0, -math.inf, 0, None, None
-    for primes in primes_through(limit, table=table, segment_size=segment_size,
-                                 bytes_per_prime=SEGMENT_BYTES_PER_PRIME):
+    top_c, top_at, first_failure = -math.inf, 0, None
+    for primes, done, at in _segments(every, limit=limit, segment_size=segment_size,
+                                      bytes_per_prime=SEGMENT_BYTES_PER_PRIME):
         lp = np.log(primes)
         theta = prefix_sums(lp, carry)
         # (theta - p) / (sqrt(p) * lp * lp), in place to hold one array fewer
@@ -230,24 +217,20 @@ def theta_inequality_check(
         c_needed /= scale
         del scale
         satisfied = c_needed <= c0
-        at = np.arange(every - 1 - checked % every, primes.size if want_rows else 0, every)
         if first_failure is None and not satisfied.all():
             i = int(np.argmin(satisfied))
             first_failure = int(primes[i])
-            if want_rows:
-                at = np.union1d(at, [i])
-        if at.size:
-            on_rows([primes[at], theta[at], c_needed[at], satisfied[at]])
-        # the last prime's row, until one is written
-        last = None if at.size and at[-1] == primes.size - 1 else (
-            int(primes[-1]), float(theta[-1]), float(c_needed[-1]), bool(satisfied[-1]))
+            if i not in at:  # at cadence 1 it always is, and union1d would copy and sort all rows
+                at = np.sort(np.append(at, i))
+        if on_rows is not None:
+            for lo in range(0, at.size, ROW_BLOCK):
+                rows = at[lo : lo + ROW_BLOCK]
+                on_rows([primes[rows], theta[rows], c_needed[rows], satisfied[rows]])
         top = int(np.argmax(c_needed))
         if c_needed[top] > top_c:
             top_c, top_at = float(c_needed[top]), int(primes[top])
-        checked += primes.size
+        checked = done + primes.size
         del theta, c_needed, satisfied
-    if want_rows and last is not None:
-        on_rows([np.array([v]) for v in last])
     return ThetaCheckResult(
         limit=limit,
         c0=c0,

@@ -18,6 +18,10 @@ from .summation import prefix_sums
 # odd entries per segment; one segment covers twice this many integers
 DEFAULT_SEGMENT_ODDS = 1 << 20
 
+# row cells (rows, times k for condition_sweep) that a streamed function
+# hands to on_rows per call, so dense rows cost one block of columns
+ROW_BLOCK = 1 << 14
+
 
 def _small_primes(limit: int) -> np.ndarray:
     """Dense sieve used for base primes (limit ~ sqrt of the real bound)."""
@@ -94,8 +98,6 @@ def primes_in_range(lo: int, hi: int, *, segment_size: int = DEFAULT_SEGMENT_ODD
     checked against the memory budget before anything is sieved, so windows
     near 1e9 are cheap and wide ones fail fast.
     """
-    if segment_size < 1:
-        raise ValueError(f"segment_size must be positive, got {segment_size}")
     lo = max(lo, 2)
     if hi <= lo:
         return np.empty(0, dtype=np.int64)
@@ -168,44 +170,53 @@ def table_for_count(m: int, *, segment_size: int = DEFAULT_SEGMENT_ODDS) -> Prim
     return table
 
 
-def primes_through(limit: int, *, table: PrimeTable | None = None,
-                   segment_size: int = DEFAULT_SEGMENT_ODDS,
-                   bytes_per_prime: int = 8) -> Iterator[np.ndarray]:
-    """The primes <= limit, ascending, in pieces.
+def _segments(every: int, *, limit: int | None = None, count: int | None = None, skip: int = 0,
+              segment_size: int = DEFAULT_SEGMENT_ODDS,
+              bytes_per_prime: int = 8) -> Iterator[tuple[np.ndarray, int, np.ndarray]]:
+    """The primes <= limit, or the first count primes, as (primes, done, rows) per sieve segment.
 
-    From a table that covers limit, one slice of it; otherwise the sieve
-    segments of prime_segments, budgeted at bytes_per_prime per prime.
+    primes is one segment's primes, ascending, and done the number of primes
+    in earlier segments. Prime number done + j + 1 counts as item
+    done + j + 1 - skip, and rows holds, ascending, the indices j of the
+    items that are a multiple of every, plus the segment's last prime when
+    it is the last of the stream. Prime 2 is a segment of its own, the only
+    one whose item is 0 when skip is 1. Segments holding no prime are not
+    yielded, and only one segment is held at a time: the stream ends at the
+    largest prime <= limit, found first by a short sieve below the limit, or
+    at the count-th prime, so the segment that holds it is known to be the
+    last. The budget counts bytes_per_prime per prime, and the rows.
     """
-    if table is not None:
-        if table.limit < limit:
-            raise ValueError(f"prime table covers {table.limit}, need primes up to {limit}")
-        yield table.primes[: table.pi(limit)]
-        return
-    yield from prime_segments(2, limit + 1, segment_size=segment_size, bytes_per_prime=bytes_per_prime)
-
-
-def first_primes(m: int, *, table: PrimeTable | None = None,
-                 segment_size: int = DEFAULT_SEGMENT_ODDS,
-                 bytes_per_prime: int = 8) -> Iterator[np.ndarray]:
-    """The first m primes, ascending, in pieces.
-
-    From a table that holds m primes, one slice of it; otherwise the sieve
-    segments of prime_segments up to the m-th prime, budgeted at
-    bytes_per_prime per prime.
-    """
-    if m < 1:
-        raise ValueError(f"need a positive prime count, got {m}")
-    if table is not None and table.count >= m:
-        yield table.primes[:m]
-        return
-    left = m
-    for seg in prime_segments(2, _count_bound(m) + 1, segment_size=segment_size,
-                              bytes_per_prime=bytes_per_prime):
-        yield seg[:left]
-        left -= min(left, seg.size)
-        if not left:
+    if every < 1:
+        raise ValueError(f"checkpoint_every must be >= 1, got {every}")
+    if count is None:
+        if limit < 0:
+            raise ValueError(f"limit must be >= 0, got {limit}")
+        if limit < 2:
             return
-    raise ArithmeticError(f"fewer than {m} primes below {_count_bound(m)}")
+        width = 64
+        while not (near := primes_in_range(limit + 1 - width, limit + 1)).size:
+            width *= 2
+        end = int(near[-1])
+    else:
+        end = _count_bound(count)
+    done = 0
+    # the rows add 8 bytes for one prime in every
+    for seg in prime_segments(2, end + 1, segment_size=segment_size,
+                              bytes_per_prime=bytes_per_prime + (every + 7) // every):
+        if count is not None:
+            seg = seg[: count - done]
+        last = seg[-1] == end if count is None else done + seg.size == count
+        rows = np.arange(every - 1 - (done - skip) % every, seg.size, every)
+        if last and (not rows.size or rows[-1] != seg.size - 1):
+            rows = np.append(rows, seg.size - 1)
+        size, box = seg.size, [seg]
+        del seg
+        # handed over, not kept: while the caller works on it, this frame holds no reference
+        yield box.pop(), done, rows
+        if last:
+            return
+        done += size
+    raise ArithmeticError(f"fewer than {count} primes below {end}")
 
 
 def nth_prime(n: int, table: PrimeTable | None = None) -> int:

@@ -33,8 +33,8 @@ REFERENCE = 1.231
 
 
 @pytest.fixture(scope="module")
-def series_1e7(table7):
-    return series_scan(10_000_000, table=table7)
+def series_1e7():
+    return series_scan(10_000_000)
 
 
 def test_criterion_01_preset_run(run_cli, criterion_log, series_1e7):
@@ -97,10 +97,9 @@ def test_criterion_04_odd_values_satisfy_bound(criterion_log, sigma1e6):
     criterion_log("04", "PASS", "no odd violator in [17, 1e6]; scan returned zero rows")
 
 
-def test_criterion_05_product_condition_sweep(criterion_log, table7, row_log):
+def test_criterion_05_product_condition_sweep(criterion_log, row_log):
     rows = row_log("condition7")
-    summary = condition_sweep(1000, [1, 2, 3, 4, 5], checkpoint_every=1,
-                              table=table7, on_rows=rows)
+    summary = condition_sweep(1000, [1, 2, 3, 4, 5], checkpoint_every=1, on_rows=rows)
     assert len(rows) == 5000
     assert all(r.holds == r.deficit_holds for r in rows)
     assert summary.first_hold == {1: 3, 2: 5, 3: 10, 4: 17, 5: 35}
@@ -164,7 +163,7 @@ def test_criterion_08_tail_bounds_dominate(criterion_log, table7):
 def test_criterion_09_recursion_matches_closed_form(criterion_log, table7, row_log):
     constants = theta_bound_constants(100_000, table=table7)
     checkpoints = row_log("gap-series")
-    series_scan(100_000, checkpoint_every=1, table=table7, on_rows=checkpoints)
+    series_scan(100_000, checkpoint_every=1, on_rows=checkpoints)
     partials = [cp.partial_sum for cp in checkpoints]
     assert len(constants) == len(partials) == 9591
     worst = max(abs(c - p) for (_, c), p in zip(constants, partials))
@@ -174,11 +173,11 @@ def test_criterion_09_recursion_matches_closed_form(criterion_log, table7, row_l
                   f"max gap {worst:.3g} <= 1e-10 (internal drift guard also active)")
 
 
-def test_criterion_10_theta_constant_sign(criterion_log, table7, series_1e7, row_log):
+def test_criterion_10_theta_constant_sign(criterion_log, series_1e7, row_log):
     c0 = series_1e7.running_sup
     assert c0 == -0.45161067402361027  # supremum is the first partial sum
     records = row_log("theta-check")
-    result = theta_inequality_check(1_000_000, c0, table=table7, on_rows=records)
+    result = theta_inequality_check(1_000_000, c0, on_rows=records)
     assert result.checked == 78498
     assert result.max_c_needed < 0
     assert math.isclose(result.max_c_needed, -0.002631466921038619, rel_tol=1e-10)
@@ -198,8 +197,8 @@ def test_criterion_10_theta_constant_sign(criterion_log, table7, series_1e7, row
     "up to 1e6 need a larger constant, first failure already at p=5 "
     "(needs -0.2760332467368407)",
 )
-def test_criterion_10_all_satisfied(criterion_log, table7, series_1e7):
-    result = theta_inequality_check(1_000_000, series_1e7.running_sup, table=table7)
+def test_criterion_10_all_satisfied(criterion_log, series_1e7):
+    result = theta_inequality_check(1_000_000, series_1e7.running_sup)
     criterion_log("10 all-satisfied", "XFAIL",
                   f"all_satisfied={result.all_satisfied}; first failure at "
                   f"p={result.first_failure}; strict expected failure records the "
@@ -222,7 +221,7 @@ def test_criterion_11_independent_cross_checks(criterion_log, table7, sigma1e5):
     naive = 0.0
     for a, b in zip(plist, plist[1:]):
         naive += gap_term(a, b)
-    compensated = series_scan(100_000, table=table7).partial_sum
+    compensated = series_scan(100_000).partial_sum
     assert abs(naive - compensated) <= 1e-8
     criterion_log("11", "PASS",
                   f"sieve sigma equals factored sigma for all n <= 1e5; prime window "

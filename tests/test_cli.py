@@ -12,13 +12,15 @@ import numpy as np
 import pytest
 
 import robinlab.cli
+import robinlab.euler_products
+import robinlab.gap_series
 import robinlab.primes
 import robinlab.robin
 from robinlab.arithmetic import factorize, is_prime, sigma_of
 from robinlab.cli import RowSink, main
 from robinlab.euler_products import product_condition
 from robinlab.gap_series import gap_terms, series_scan
-from robinlab.primes import primes_up_to
+from robinlab.primes import primes_in_range, primes_up_to
 from robinlab.summation import PREFIX_BYTES_PER_TERM, prefix_sums
 
 PRIMES_30 = [
@@ -155,6 +157,9 @@ def test_dense_runs_equal_one_shot_rows(capsys, monkeypatch):
     monkeypatch.setattr(robinlab.primes, "prime_segments",
                         lambda lo, hi, **kw: segments(lo, hi, **{**kw, "segment_size": 100}))
     monkeypatch.setattr(robinlab.cli, "WRITE_CHUNK", 97)
+    # row blocks that split every segment's rows, at odd places
+    monkeypatch.setattr(robinlab.gap_series, "ROW_BLOCK", 13)
+    monkeypatch.setattr(robinlab.euler_products, "ROW_BLOCK", 13)
 
     want = []
     for m in range(1, 301):
@@ -181,6 +186,13 @@ def test_dense_runs_equal_one_shot_rows(capsys, monkeypatch):
         want = [[int(primes[i]), float(theta[i]), float(c_needed[i]), bool(c_needed[i] <= c0)] for i in sorted(at)]
         assert main(["theta-check", "--limit", "20000", "--c0", str(c0), "--checkpoint-every", "7"]) == 0
         assert capsys.readouterr().out == _written("theta-check", want), c0
+
+    primes = primes_in_range(2, 20_001)
+    for every in (1, 7):
+        at = sorted(set(range(every - 1, primes.size, every)) | {primes.size - 1})
+        want = [[i + 1, int(primes[i])] for i in at]
+        assert main(["primes", "--limit", "20000", "--checkpoint-every", str(every)]) == 0
+        assert capsys.readouterr().out == _written("primes", want), every
 
 
 def test_robin_eval_rejects_unit(run_cli):
@@ -404,6 +416,7 @@ def test_bad_configs_exit_2(run_cli):
 @pytest.mark.parametrize("args", [
     ["condition7", "--m-max", "0", "--k", "1"],
     ["gap-series", "--limit", "2"],
+    ["gap-series", "--preset", "paper45", "--limit", "100"],
     ["robin-extremal", "--m-max", "0", "--budget", "5"],
 ])
 def test_rejected_input_prints_no_header(capsys, args):
@@ -426,16 +439,16 @@ def test_memory_budget_env(run_cli):
     assert cp.stdout == ""
 
 
-def test_gap_series_fits_a_budget_of_one_segment(run_cli, table7, row_log):
+def test_gap_series_fits_a_budget_of_one_segment(run_cli, row_log):
     # the prefix sums over the whole table below 1e7 alone need 15.9 MB
     assert PREFIX_BYTES_PER_TERM * 664_578 > 8 << 20
     cp = run_cli(["gap-series", "--preset", "paper45"], env_extra={"ROBINLAB_MEM_BUDGET_MB": "8"})
     assert cp.returncode == 0, cp.stderr
-    # the default run's rows, from the table path of the same scan
+    # the default run's rows, from the same scan in process under the default budget
     out = io.StringIO()
     sink = RowSink(out, "csv", robinlab.cli.CSV_HEADERS["gap-series"])
     checkpoints = row_log("gap-series")
-    series_scan(10_000_000, checkpoint_every=100_000, table=table7, on_rows=checkpoints)
+    series_scan(10_000_000, checkpoint_every=100_000, on_rows=checkpoints)
     for row in checkpoints:
         sink.write(list(row))
     assert cp.stdout == out.getvalue()

@@ -1,5 +1,7 @@
 """Mertens products, the finite product condition, and zeta enclosures."""
+import itertools
 import math
+import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -22,6 +24,7 @@ from robinlab.euler_products import (
     tail_bound_log,
     zeta_enclosure,
 )
+from robinlab.primes import ROW_BLOCK, _segment_bytes, prime_segments
 from robinlab.robin import EULER_GAMMA, EXP_GAMMA
 from robinlab.summation import prefix_sums
 
@@ -198,10 +201,10 @@ def test_enclosure_contains_zeta_on_grid(table7):
 
 
 def test_sweep_summary(table7):
-    summary = condition_sweep(1000, [1, 2, 3, 4, 5], table=table7)
+    summary = condition_sweep(1000, [1, 2, 3, 4, 5])
     assert summary.first_hold == {1: 3, 2: 5, 3: 10, 4: 17, 5: 35}
     # a repeated k is the same condition, not a second product
-    assert condition_sweep(50, [1, 1], table=table7).first_hold == {1: 3}
+    assert condition_sweep(50, [1, 1]).first_hold == {1: 3}
     assert summary.p_max == 7919
     assert summary.final_deviation == mertens_deviation(1000, table=table7)
     assert math.isclose(summary.final_deviation, 0.0012397105445680623, rel_tol=1e-10)
@@ -209,10 +212,10 @@ def test_sweep_summary(table7):
 
 def test_sweep_rows_match_one_shot(table7, row_log):
     rows = row_log("condition7")
-    condition_sweep(200, [2], checkpoint_every=50, table=table7, on_rows=rows)
+    condition_sweep(200, [2], checkpoint_every=50, on_rows=rows)
     assert [(r.m, r.k) for r in rows] == [(50, 2), (100, 2), (150, 2), (200, 2)]
     every_m = row_log("condition7")
-    condition_sweep(2000, [1, 2, 3, 4, 5], table=table7, on_rows=every_m)
+    condition_sweep(2000, [1, 2, 3, 4, 5], on_rows=every_m)
     assert [(r.m, r.k) for r in every_m] == [(m, k) for m in range(1, 2001) for k in range(1, 6)]
     for r in rows + every_m:
         a = product_condition(r.m, r.k, table=table7)
@@ -224,9 +227,9 @@ def test_sweep_rows_match_one_shot(table7, row_log):
         assert r.holds == a.holds and r.deficit_holds == b.holds
 
 
-def test_sweep_stabilizes_for_k1(table7, row_log):
+def test_sweep_stabilizes_for_k1(row_log):
     rows = row_log("condition7")
-    condition_sweep(300, [1], checkpoint_every=1, table=table7, on_rows=rows)
+    condition_sweep(300, [1], checkpoint_every=1, on_rows=rows)
     held = [r.m for r in rows if r.holds]
     assert min(held) == 3
     assert all(r.holds for r in rows if r.m >= 3)
@@ -256,7 +259,7 @@ def test_float_power_equals_libm_pow():
     assert np.count_nonzero(got == 0) > 1000  # results that underflow to 0
 
 
-def test_sweep_takes_no_pow_from_libm(table7, monkeypatch):
+def test_sweep_takes_no_pow_from_libm(monkeypatch):
     seen = set()
 
     def spy(fn, values, *args):
@@ -264,7 +267,7 @@ def test_sweep_takes_no_pow_from_libm(table7, monkeypatch):
         return _libm(fn, values, *args)
 
     monkeypatch.setattr(euler_products, "_libm", spy)
-    condition_sweep(20000, [1, 2, 3, 4, 5], checkpoint_every=1000, table=table7, on_rows=lambda columns: None)
+    condition_sweep(20000, [1, 2, 3, 4, 5], checkpoint_every=1000, on_rows=lambda columns: None)
     assert seen == {math.log1p, math.log}
 
 
@@ -316,7 +319,7 @@ def _reference_sweep(table, m_max, ks):
 def test_sweep_equals_full_vector_reference(table7):
     ks, m_max = [1, 2, 3, 4, 5], 100_000
     chunks = []
-    summary = condition_sweep(m_max, ks, checkpoint_every=1, table=table7, on_rows=chunks.append)
+    summary = condition_sweep(m_max, ks, checkpoint_every=1, on_rows=chunks.append)
     mert, rhs, prod, first_hold = _reference_sweep(table7, m_max, ks)
     assert summary.first_hold == first_hold == {1: 3, 2: 5, 3: 10, 4: 17, 5: 35}
     assert summary.final_deviation == mert[-1] - rhs[-1]
@@ -338,19 +341,19 @@ def test_sweep_equals_full_vector_reference(table7):
 
 
 @pytest.mark.parametrize("width", [1, 2, 3, 17, 34])
-def test_first_hold_across_chunk_edges(table7, monkeypatch, width):
+def test_first_hold_across_chunk_edges(monkeypatch, width):
     monkeypatch.setattr(euler_products, "FIRST_HOLD_CHUNK", width)
     ks = [1, 2, 3, 4, 5]
     expect = {1: 3, 2: 5, 3: 10, 4: 17, 5: 35}
     for m_max in (35, 36, 100, 5000):
-        summary = condition_sweep(m_max, ks, table=table7)
+        summary = condition_sweep(m_max, ks)
         assert summary.first_hold == expect, (width, m_max)
-    assert condition_sweep(34, ks, table=table7).first_hold == {**expect, 5: None}
-    assert condition_sweep(2, [1], table=table7).first_hold == {1: None}
-    assert condition_sweep(1, [1], table=table7).first_hold == {1: None}
+    assert condition_sweep(34, ks).first_hold == {**expect, 5: None}
+    assert condition_sweep(2, [1]).first_hold == {1: None}
+    assert condition_sweep(1, [1]).first_hold == {1: None}
 
 
-def test_sweep_reads_rhs_only_where_needed(table7, monkeypatch, row_log):
+def test_sweep_reads_rhs_only_where_needed(monkeypatch, row_log):
     evaluated = []
 
     def spy(primes):
@@ -359,8 +362,7 @@ def test_sweep_reads_rhs_only_where_needed(table7, monkeypatch, row_log):
 
     monkeypatch.setattr(euler_products, "_rhs_log", spy)
     rows = row_log("condition7")
-    summary = condition_sweep(664579, [1, 2, 3, 4, 5], checkpoint_every=100_000, table=table7,
-                              on_rows=rows)
+    summary = condition_sweep(664579, [1, 2, 3, 4, 5], checkpoint_every=100_000, on_rows=rows)
     assert summary.first_hold == {1: 3, 2: 5, 3: 10, 4: 17, 5: 35}
     assert len(rows) == 35
     # one first chunk for every k, seven row values and the final deviation
@@ -368,24 +370,40 @@ def test_sweep_reads_rhs_only_where_needed(table7, monkeypatch, row_log):
 
 
 # (odds per segment, largest m_max): the tiniest segments sieve a shorter range
-SWEEP_STREAM_CASES = [(3, 300), (7, 800), (1000, 20_000)]
+SWEEP_STREAM_CASES = [(1, 200), (3, 300), (7, 800), (1000, 20_000)]
 
 
 @pytest.mark.parametrize("segment_size, top", SWEEP_STREAM_CASES)
-def test_streamed_sweep_equals_table_path(table7, row_log, segment_size, top):
+def test_streamed_sweep_equals_one_segment(row_log, segment_size, top):
     ks = [1, 2, 3, 4, 5, 10, 2]
-    for m_max, every in ((1, 1), (2, 1), (50, 1), (top, 1 if top < 2000 else 97)):
+    # the m-th prime closes the third segment that holds any
+    edge = sum(seg.size for seg in itertools.islice(prime_segments(2, 10**6, segment_size=segment_size), 3))
+    for m_max, every in ((1, 1), (2, 1), (50, 1), (edge, 1), (top, 1 if top < 2000 else 97)):
         a, b = row_log("condition7"), row_log("condition7")
-        want = condition_sweep(m_max, ks, checkpoint_every=every, table=table7, on_rows=a)
+        want = condition_sweep(m_max, ks, checkpoint_every=every, on_rows=a)
         got = condition_sweep(m_max, ks, checkpoint_every=every, segment_size=segment_size, on_rows=b)
         assert got == want and b == a, (m_max, every)
+
+
+def test_dense_sweep_memory_is_one_segment_and_one_block():
+    # at cadence 1, each k's prefix and the row index at every prime, and one block of row columns
+    segment_size, ks = 1 << 16, [1, 2, 3, 4, 5]
+    per_prime = euler_products.SWEEP_BYTES_PER_PRIME + 8 * (len(ks) + 1)
+    budgeted = _segment_bytes(2, 2 * segment_size, per_prime) + 72 * ROW_BLOCK
+    tracemalloc.start()
+    try:
+        condition_sweep(30_000, ks, on_rows=lambda columns: None, segment_size=segment_size)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= budgeted
 
 
 @pytest.mark.parametrize("block", [1, 5, 64])
 def test_last_failure_equals_full_vector_reference(table7, monkeypatch, block):
     monkeypatch.setattr(euler_products, "HOLD_BLOCK", block)
     ks, m_max = list(range(1, 11)), 100_000 if block == 64 else 10_000
-    summary = condition_sweep(m_max, ks, table=table7)
+    summary = condition_sweep(m_max, ks)
     # the last failure and the failures past the first hold, from the verdict at every m
     mert, rhs, prod, first_hold = _reference_sweep(table7, m_max, ks)
     fails = mert[:, None] + prod > rhs[:, None]
@@ -402,8 +420,8 @@ def test_last_failure_equals_full_vector_reference(table7, monkeypatch, block):
     assert np.abs(floor - rhs).max() < euler_products.RHS_MARGIN / 100
 
 
-def test_last_failure_golden_values_below_1e7(table7):
-    summary = condition_sweep(664_579, [4, 5, 10], table=table7)
+def test_last_failure_golden_values_below_1e7():
+    summary = condition_sweep(664_579, [4, 5, 10])
     assert summary.first_hold == {4: 17, 5: 35, 10: 1401}
     assert summary.last_failure == {4: 21, 5: 46, 10: 6145}
     assert summary.fails_after_hold == {4: 2, 5: 4, 10: 2495}

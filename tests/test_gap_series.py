@@ -13,7 +13,7 @@ from robinlab.gap_series import (
     theta_bound_constants,
     theta_inequality_check,
 )
-from robinlab.primes import _segment_bytes, primes_up_to
+from robinlab.primes import _segment_bytes
 
 FIRST_TERM = -0.45161067402361027
 
@@ -46,15 +46,15 @@ def test_scan_two_pairs():
     assert st.running_sup == gap_term(2, 3) and st.sup_at == 1
 
 
-def test_scan_reference_values(table7):
-    st = series_scan(100, table=table7)
+def test_scan_reference_values():
+    st = series_scan(100)
     assert st.n == 24 and st.p_n == 89
     assert math.isclose(st.partial_sum, -1.319914033672075, rel_tol=1e-14)
     assert st.running_sup == FIRST_TERM and st.sup_at == 1
-    st = series_scan(1000, table=table7)
+    st = series_scan(1000)
     assert st.n == 167
     assert math.isclose(st.partial_sum, -1.3659064662579306, rel_tol=1e-14)
-    st = series_scan(100_000, table=table7)
+    st = series_scan(100_000)
     assert st.n == 9591
     assert math.isclose(st.partial_sum, -1.3983115845490548, rel_tol=1e-14)
     assert abs(st.compensation) < 1e-12
@@ -66,21 +66,19 @@ def test_scan_domain():
     with pytest.raises(ValueError):
         series_scan(1)
     with pytest.raises(ValueError):
-        series_scan(1000, table=primes_up_to(100))
-    with pytest.raises(ValueError):
         series_scan(100, checkpoint_every=0)
 
 
-def test_scan_bit_identical_reruns(table7):
-    a = series_scan(50_000, table=table7)
-    b = series_scan(50_000, table=table7)
+def test_scan_bit_identical_reruns():
+    a = series_scan(50_000)
+    b = series_scan(50_000)
     assert (a.partial_sum, a.compensation, a.running_sup) == (
         b.partial_sum, b.compensation, b.running_sup)
 
 
-def test_checkpoint_cadence(table7, row_log):
+def test_checkpoint_cadence(row_log):
     cps = row_log("gap-series")
-    st = series_scan(100, checkpoint_every=5, table=table7, on_rows=cps)
+    st = series_scan(100, checkpoint_every=5, on_rows=cps)
     assert [c.n for c in cps] == [5, 10, 15, 20, 24]
     assert cps[0].p_n == 11 and cps[0].gap == 2
     assert cps[0].term == gap_term(11, 13)
@@ -106,7 +104,7 @@ def test_bound_constants(table7):
     assert cs[0] == (2, FIRST_TERM)
     n_last, c_last = cs[-1]
     assert n_last == 9592
-    assert c_last == series_scan(100_000, table=table7).partial_sum
+    assert c_last == series_scan(100_000).partial_sum
     with pytest.raises(ValueError):
         theta_bound_constants(2)
 
@@ -121,9 +119,9 @@ def test_theta_check_single_prime():
         theta_inequality_check(1, 0.0)
 
 
-def test_theta_check_small_range(table7, row_log):
+def test_theta_check_small_range(row_log):
     records = row_log("theta-check")
-    res = theta_inequality_check(100, 1.0, table=table7, on_rows=records)
+    res = theta_inequality_check(100, 1.0, on_rows=records)
     assert res.all_satisfied and res.checked == 25
     assert math.isclose(res.max_c_needed, -0.045290683533358335, rel_tol=1e-13)
     assert res.max_c_needed_at == 73
@@ -131,18 +129,18 @@ def test_theta_check_small_range(table7, row_log):
     assert [r.p_n for r in records] == [97]
 
 
-def test_theta_check_failure_is_recorded(table7, row_log):
+def test_theta_check_failure_is_recorded(row_log):
     records = row_log("theta-check")
-    res = theta_inequality_check(100, -3.0, checkpoint_every=100, table=table7, on_rows=records)
+    res = theta_inequality_check(100, -3.0, checkpoint_every=100, on_rows=records)
     assert not res.all_satisfied
     assert res.first_failure == 2
     assert [r.p_n for r in records] == [2, 97]
     assert not records[0].satisfied
 
 
-def test_theta_check_flag_matches_threshold(table7, row_log):
+def test_theta_check_flag_matches_threshold(row_log):
     records = row_log("theta-check")
-    res = theta_inequality_check(200, -0.5, checkpoint_every=1, table=table7, on_rows=records)
+    res = theta_inequality_check(200, -0.5, checkpoint_every=1, on_rows=records)
     assert res.checked == len(records)
     for r in records:
         assert r.satisfied == (r.c_needed <= res.c0)
@@ -150,22 +148,23 @@ def test_theta_check_flag_matches_threshold(table7, row_log):
 
 
 # (odds per segment, largest limit): the tiniest segments sieve a shorter range
-STREAM_CASES = [(3, 1_000), (7, 3_000), (1000, 50_000)]
+STREAM_CASES = [(1, 300), (3, 1_000), (7, 3_000), (1000, 50_000)]
 
 
 @pytest.mark.parametrize("segment_size, top", STREAM_CASES)
-def test_streamed_scans_equal_table_path(table7, row_log, segment_size, top):
+def test_streamed_scans_equal_one_segment(row_log, segment_size, top):
     # c0 = -3 fails at p = 2, -0.5 first fails later, 1 never fails
     c0s = itertools.cycle([-3.0, -0.5, 1.0, -0.5])
-    for limit in (3, 5, 6, 100, top - 7, top):
+    # 126 ends inside the gap from 113 to 127
+    for limit in (3, 5, 6, 100, 126, top - 7, top):
         for every in (1, 7, None):
             a, b = row_log("gap-series"), row_log("gap-series")
-            want = series_scan(limit, checkpoint_every=every, on_rows=a, table=table7)
+            want = series_scan(limit, checkpoint_every=every, on_rows=a)
             got = series_scan(limit, checkpoint_every=every, on_rows=b, segment_size=segment_size)
             assert got == want and b == a, (limit, every)
             c0 = next(c0s)
             a, b = row_log("theta-check"), row_log("theta-check")
-            want = theta_inequality_check(limit, c0, checkpoint_every=every, on_rows=a, table=table7)
+            want = theta_inequality_check(limit, c0, checkpoint_every=every, on_rows=a)
             got = theta_inequality_check(limit, c0, checkpoint_every=every, on_rows=b, segment_size=segment_size)
             assert got == want and b == a, (limit, every, c0)
 

@@ -105,12 +105,15 @@ def test_budget_covers_kernel_transients(monkeypatch):
     monkeypatch.setenv("ROBINLAB_MEM_BUDGET_MB", "3")
     table = primes_up_to(2_000_000)
     with pytest.raises(CapacityError, match="prefix sums"):
-        series_scan(2_000_000, table=table)
-    with pytest.raises(CapacityError, match="prefix sums"):
-        theta_inequality_check(2_000_000, 0.0, table=table)
-    with pytest.raises(CapacityError, match="prefix sums"):
-        condition_sweep(table.count, [1], table=table)
-    assert series_scan(1_000_000, table=table).n == 78_497
+        prefix_sums(gap_terms(table.primes))
+    # the streamed functions budget one segment: at 2e6 it holds every prime
+    with pytest.raises(CapacityError, match="one segment"):
+        series_scan(2_000_000)
+    with pytest.raises(CapacityError, match="one segment"):
+        theta_inequality_check(2_000_000, 0.0)
+    with pytest.raises(CapacityError, match="one segment"):
+        condition_sweep(table.count, [1])
+    assert series_scan(1_000_000, segment_size=1 << 16).n == 78_497
     monkeypatch.delenv("ROBINLAB_MEM_BUDGET_MB")
     table_1e7 = 8 * 1.3 * 10**7 / math.log(10**7)
     assert PREFIX_BYTES_PER_TERM * 664_579 + table_1e7 <= memory_budget_bytes()
